@@ -76,7 +76,10 @@ def _add_fit_memory_args(sub: argparse.ArgumentParser) -> None:
             "sharded",
         ],
         default="auto",
-        help="coarse fit-path switch; 'parallel' fans row blocks out "
+        help="coarse fit-path switch; 'auto' runs the native fused pass "
+        "whenever a repro.native tier passes its probe and the input is "
+        "native-supported (REPRO_NATIVE=0 opts out), else the dense/"
+        "blocked rule; 'parallel' fans row blocks out "
         "across --workers processes, 'fused' additionally folds link "
         "counting into the same pass (lowest peak memory), 'native' "
         "runs the fused pass with repro.native kernels (falls back to "
@@ -107,7 +110,8 @@ def _add_fit_memory_args(sub: argparse.ArgumentParser) -> None:
         help="merge-loop engine; 'heap' is the Figure 3 reference "
         "loop, 'fast' the component-partitioned engine, 'native' that "
         "engine with repro.native component kernels, 'auto' picks "
-        "fast/native for the built-in goodness measures; all engines "
+        "native when a tier passes its probe (else fast) for the "
+        "built-in goodness measures and heap for custom ones; all engines "
         "produce byte-identical clusters and merge history",
     )
     sub.add_argument(

@@ -60,6 +60,7 @@ from repro.core.neighbors import (
 )
 from repro.core.outliers import prune_sparse_points, weed_small_clusters
 from repro.core.pipeline import PipelineResult, RockPipeline
+from repro.core.plan import FitPlan, resolve_fit_plan
 from repro.core.reference import naive_cluster_with_links
 from repro.core.rock import (
     FIT_MODES,
@@ -116,10 +117,12 @@ __all__ = [
     "SimilarityTable",
     "DEFAULT_MEMORY_BUDGET",
     "FIT_MODES",
+    "FitPlan",
     "MERGE_METHODS",
     "attribute_item",
     "blocked_neighbor_graph",
     "resolve_fit_mode",
+    "resolve_fit_plan",
     "cluster_with_links",
     "compute_links",
     "compute_neighbor_graph",

@@ -107,8 +107,8 @@ __all__ = [
 # RockPipeline and the CLI.  "heap" is the Figure 3 reference loop;
 # "fast" is this module; "native" is this module with the component
 # inner loop handed to a repro.native backend kernel; "auto" picks
-# native when repro.native opts in (numba installed or REPRO_NATIVE=1),
-# else fast whenever the goodness measure has a vectorized kernel (both
+# native whenever a repro.native tier passes its probe, else fast,
+# whenever the goodness measure has a vectorized kernel (both
 # built-ins do), and falls back to the reference for custom callables,
 # whose evaluation order the engines cannot promise to reproduce.  All
 # methods produce identical results for the built-in measures.
@@ -121,50 +121,61 @@ _PARALLEL_MIN_PAIRS = 2048
 def resolve_merge_method(
     merge_method: str,
     goodness_fn: GoodnessFunction = normalized_goodness,
+    registry: Any | None = None,
 ) -> str:
     """Normalise ``merge_method`` to ``"heap"``, ``"fast"`` or ``"native"``.
 
-    A forced ``"native"`` that cannot run (custom goodness callable, or
-    no working backend) degrades with a single :class:`RuntimeWarning`
-    -- to ``"heap"`` for callables (matching ``"auto"``'s routing, the
-    engines cannot reproduce a callable's evaluation order) and to
-    ``"fast"`` otherwise.  ``"auto"`` never warns: it only promotes to
-    native when :func:`repro.native.auto_native` opts in.
+    ``"auto"`` picks native whenever a :mod:`repro.native` tier passes
+    its probe (:func:`repro.native.auto_native`), else fast, for the
+    built-in goodness measures, and the reference heap loop for custom
+    callables (the engines cannot reproduce a callable's evaluation
+    order); it never warns.  A forced ``"native"`` that cannot run
+    degrades with a single :class:`RuntimeWarning` -- to ``"heap"`` for
+    callables and to ``"fast"`` when no backend works.  Every
+    degradation increments ``fit.fallback.<reason>`` in ``registry``
+    (``custom_goodness`` or ``no_backend``).
     """
+    resolved, reason = _merge_choice(merge_method, goodness_fn)
+    if reason is not None and registry is not None:
+        registry.inc(f"fit.fallback.{reason}")
+    return resolved
+
+
+def _merge_choice(
+    merge_method: str, goodness_fn: GoodnessFunction
+) -> tuple[str, str | None]:
+    """``(engine, fallback_reason)`` behind :func:`resolve_merge_method`."""
     if merge_method not in MERGE_METHODS:
         raise ValueError(
             f"merge_method must be one of {MERGE_METHODS}, got {merge_method!r}"
         )
-    if merge_method == "auto":
-        if merge_kernel_for(goodness_fn, 0.0) is None:
-            return "heap"
-        from repro.native import auto_native, native_available
+    if merge_method not in ("auto", "native"):
+        return merge_method, None
+    import warnings
 
-        if auto_native() and native_available():
-            return "native"
-        return "fast"
-    if merge_method == "native":
-        import warnings
-
-        if merge_kernel_for(goodness_fn, 0.0) is None:
+    if merge_kernel_for(goodness_fn, 0.0) is None:
+        if merge_method == "native":
             warnings.warn(
                 "merge_method='native' does not support custom goodness "
                 "callables; falling back to the reference heap loop",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
-            return "heap"
-        from repro.native import native_available
+        return "heap", "custom_goodness"
+    from repro.native import native_available
 
-        if not native_available():
-            warnings.warn(
-                "merge_method='native' requested but no native backend is "
-                "available; falling back to the fast merge engine",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return "fast"
-    return merge_method
+    # auto promotes exactly when a forced native could run
+    # (repro.native.auto_native is native_available)
+    if native_available():
+        return "native", None
+    if merge_method == "native":
+        warnings.warn(
+            "merge_method='native' requested but no native backend is "
+            "available; falling back to the fast merge engine",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+    return "fast", "no_backend"
 
 
 @dataclass

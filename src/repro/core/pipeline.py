@@ -27,15 +27,10 @@ from repro.core.labeling import (
 )
 from repro.core.merge import MERGE_METHODS
 from repro.core.links import compute_links
-from repro.core.neighbors import NeighborGraph, compute_neighbor_graph
-from repro.core.outliers import prune_sparse_points, weed_small_clusters, weeding_stop_count
-from repro.core.rock import (
-    FIT_MODES,
-    GoodnessFunction,
-    RockResult,
-    cluster_with_links,
-    resolve_fit_mode,
-)
+from repro.core.neighbors import compute_neighbor_graph
+from repro.core.outliers import weed_small_clusters, weeding_stop_count
+from repro.core.plan import FIT_MODES, FitPlan, resolve_fit_plan
+from repro.core.rock import GoodnessFunction, RockResult, cluster_with_links
 from repro.core.sampling import sample_indices
 from repro.core.similarity import SimilarityFunction
 from repro.data.records import CategoricalDataset
@@ -84,6 +79,9 @@ class PipelineResult:
         ``{"fit": "fused", "merge": "fast"}`` -- the resolved backends,
         not the requested modes, so benchmarks and model metadata can
         tell a silent fallback from the real thing.
+    plan:
+        The full :class:`~repro.core.plan.FitPlan` the run resolved,
+        including the reason code of every fallback.
     """
 
     labels: np.ndarray
@@ -95,6 +93,7 @@ class PipelineResult:
     labeling_sets: list[list[Any]] | None = None
     similarity: SimilarityFunction | None = None
     backends: dict[str, str] = field(default_factory=dict)
+    plan: FitPlan | None = None
 
     @property
     def n_clusters(self) -> int:
@@ -146,8 +145,15 @@ class RockPipeline:
         auto heuristic switches to the blocked path (default
         :data:`repro.core.neighbors.DEFAULT_MEMORY_BUDGET`, 1 GiB).
     fit_mode:
-        Coarse switch over the neighbor+link stage: ``"auto"``
-        (default) defers to ``neighbor_method`` / ``link_method``;
+        Coarse switch over the neighbor+link stage, resolved together
+        with ``merge_method`` by :func:`repro.core.plan.resolve_fit_plan`
+        (``PipelineResult.plan``).  ``"auto"`` (default) runs the native
+        fused pass whenever a :mod:`repro.native` tier passed its probe
+        and the sample is native-supported (built-in Jaccard/overlap
+        over transaction-shaped points, ``theta > 0``,
+        ``min_neighbors <= 1``); otherwise it defers to
+        ``neighbor_method`` / ``link_method`` (explicit values of
+        which pin that graph path).  ``REPRO_NATIVE=0`` opts out.
         ``"dense"`` / ``"blocked"`` / ``"parallel"`` force those
         kernels; ``"fused"`` runs the one-pass fused neighbor+link
         kernel (the neighbor graph is never materialised -- isolated
@@ -171,10 +177,10 @@ class RockPipeline:
         loop), ``"fast"`` (the component-partitioned array-backed
         engine of :mod:`repro.core.merge`), ``"native"`` (that engine
         with :mod:`repro.native` component kernels, degrading with one
-        warning when unavailable), or ``"auto"`` (default: fast -- or
-        native when :mod:`repro.native` opts in -- for built-in
-        goodness measures, heap for custom callables).  Byte-identical
-        results either way (property-tested).
+        warning when unavailable), or ``"auto"`` (default: native when
+        a :mod:`repro.native` tier passed its probe, else fast, for
+        built-in goodness measures; heap for custom callables).
+        Byte-identical results either way (property-tested).
     shard_block_rows / spill_dir / max_retries:
         Sharded-fit knobs (``fit_mode="sharded"``): rows per scoring
         block (default: the parallel kernels' budget-aware block
@@ -272,7 +278,9 @@ class RockPipeline:
         ``tracer`` is an optional :class:`~repro.obs.trace.Tracer`.
         Every fit mode records one root ``fit`` span with a child span
         per phase (``sample`` / ``neighbors`` / ``links`` / ``cluster``
-        / ``label``), and the kernels record counters and histograms
+        / ``label``); the root carries the resolved backends and the
+        plan's fallback reasons, each of which is also counted as
+        ``fit.fallback.<reason>``.  The kernels record counters and histograms
         into ``tracer.registry`` -- the parallel and fused kernels merge
         worker-side metric deltas back through the process pool, so the
         trace survives multiprocessing.  Phase timings land in
@@ -324,15 +332,6 @@ class RockPipeline:
     ) -> PipelineResult:
         registry = tracer.registry
         timings: dict[str, float] = {}
-        backends: dict[str, str] = {}
-
-        # Resolve the merge engine once up front: the weeding pause
-        # calls cluster_with_links twice, and resolving here means a
-        # forced-but-unavailable "native" warns exactly once (the
-        # resolved value re-resolves to itself, warning-free).
-        from repro.core.merge import resolve_merge_method
-
-        merge_method = resolve_merge_method(self.merge_method, self.goodness_fn)
 
         # -- 1. draw random sample ----------------------------------------
         with tracer.span("sample") as span:
@@ -346,96 +345,21 @@ class RockPipeline:
         timings["sample"] = span.wall_seconds
 
         # -- 2 + 3. neighbors, isolated-point pruning, links ---------------
+        # one plan for the whole fit: the weeding pause calls
+        # cluster_with_links twice with the already-resolved engine, so
+        # a forced-but-unavailable mode warns exactly once
         min_neighbors = max(self.min_neighbors, 0)
-        sharded_fit = False
-        if self.fit_mode == "sharded":
-            # the coordinator covers phases 2-4 in one go; anything it
-            # cannot run bit-identically falls back to the parallel
-            # kernels with one warning (same taxonomy as "native")
-            shard_reason = None
-            if min_neighbors > 1:
-                shard_reason = "min_neighbors <= 1 required"
-            elif self.min_cluster_size is not None:
-                shard_reason = "outlier weeding pauses the merge loop"
-            elif initial_clusters is not None:
-                shard_reason = "resume from initial_clusters"
-            else:
-                from repro.shard.coordinator import shard_supported
-
-                supported, reason = shard_supported(
-                    sample_points, self.similarity, self.goodness_fn
-                )
-                if not supported:
-                    shard_reason = reason
-            if shard_reason is None:
-                sharded_fit = True
-            else:
-                import warnings
-
-                warnings.warn(
-                    f"fit_mode='sharded' unavailable ({shard_reason}); "
-                    "falling back to the parallel kernels",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-        native_fit = False
-        if sharded_fit:
-            pass
-        elif min_neighbors <= 1:
-            if self.fit_mode == "native":
-                from repro.native.links import native_fit_supported
-
-                native_fit, reason = native_fit_supported(
-                    sample_points, self.theta, self.similarity
-                )
-                if not native_fit:
-                    import warnings
-
-                    warnings.warn(
-                        f"fit_mode='native' unavailable ({reason}); "
-                        "falling back to the fused kernel",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-            elif (
-                self.fit_mode == "auto"
-                and self.neighbor_method == "auto"
-                and self.link_method == "auto"
-            ):
-                # auto promotion: only when repro.native opts in (numba
-                # installed or REPRO_NATIVE=1) and only where auto
-                # would leave the dense path anyway -- small inputs
-                # keep the dense kernel, and a checkout without the
-                # [native] extra changes nothing.
-                from repro.core.neighbors import (
-                    dense_similarity_bytes,
-                    resolve_memory_budget,
-                )
-                from repro.native import auto_native
-
-                # host-aware default: half the available physical
-                # memory (clamped), so the switch-over tracks the
-                # machine actually running the fit
-                budget = resolve_memory_budget(self.memory_budget)
-                if (
-                    dense_similarity_bytes(len(sample_points)) > budget
-                    and auto_native()
-                ):
-                    from repro.native.links import native_fit_supported
-
-                    native_fit, _ = native_fit_supported(
-                        sample_points, self.theta, self.similarity
-                    )
-        elif self.fit_mode == "native":
-            import warnings
-
-            warnings.warn(
-                "fit_mode='native' requires min_neighbors <= 1; falling "
-                "back to the parallel kernels",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        if sharded_fit:
+        plan = resolve_fit_plan(
+            sample_points, self.similarity, self.theta, min_neighbors,
+            self.fit_mode, self.merge_method, self.goodness_fn,
+            neighbor_method=self.neighbor_method,
+            link_method=self.link_method,
+            weeding=self.min_cluster_size is not None,
+            resumed=initial_clusters is not None,
+        )
+        plan.record(registry, root_span)
+        if plan.fit == "sharded":
+            # the coordinator covers phases 2-4 in one go
             from repro.shard.coordinator import shard_fit
 
             sharded = shard_fit(
@@ -453,113 +377,62 @@ class RockPipeline:
                 memory_budget=self.memory_budget,
                 tracer=tracer,
             )
-            kept = sharded.kept
-            discarded = sharded.discarded
-            outlier_sample_positions = list(discarded)
-            if len(kept) == 0:
-                raise ValueError(
-                    "every sampled point was pruned as an outlier; lower "
-                    "theta or min_neighbors"
-                )
+            kept, discarded = sharded.kept, sharded.discarded
+            _require_kept(kept)
             result = sharded.result
-            backends["fit"] = "sharded"
-            # the coordinator's workers run the PR 5 component streams;
-            # the stitch is the fast engine's k-way replay
-            backends["merge"] = "fast"
             for phase in ("neighbors", "links", "cluster"):
                 timings[phase] = sharded.timings.get(phase, 0.0)
-        elif native_fit or (
-            self.fit_mode in ("fused", "native") and min_neighbors <= 1
-        ):
-            # one-pass fused kernel: the neighbor graph never exists.
-            # Isolated points are degree-0, appear in no neighbor list
-            # and therefore in no pair increment, so subsetting the
-            # full link table equals computing links post-pruning.
-            from repro.parallel.links import fused_neighbor_links
-
-            with tracer.span(
-                "neighbors", fused=True, native=native_fit,
-                n=len(sample_points),
-            ) as span:
-                if native_fit:
-                    from repro.native import available_backend
-                    from repro.native.links import native_neighbor_links
-
-                    fused = native_neighbor_links(
-                        sample_points, self.theta,
-                        similarity=self.similarity,
-                        workers=self.workers,
-                        memory_budget=self.memory_budget,
-                        registry=registry,
-                    )
-                    backends["fit"] = f"native:{available_backend()}"
-                else:
-                    fused = fused_neighbor_links(
-                        sample_points, self.theta,
-                        similarity=self.similarity,
-                        workers=self.workers,
-                        memory_budget=self.memory_budget,
-                        registry=registry,
-                    )
-                    backends["fit"] = "fused"
-                kept = np.flatnonzero(fused.degrees >= min_neighbors)
-                discarded = np.flatnonzero(fused.degrees < min_neighbors)
-                outlier_sample_positions = list(discarded)
-                if len(kept) == 0:
-                    raise ValueError(
-                        "every sampled point was pruned as an outlier; lower "
-                        "theta or min_neighbors"
-                    )
-            timings["neighbors"] = span.wall_seconds
-
-            with tracer.span("links", fused=True) as span:
-                links = (
-                    fused.links if len(kept) == fused.n
-                    else fused.links.subset(kept)
-                )
-                registry.inc("fit.links.pairs", links.nnz_pairs())
-            timings["links"] = span.wall_seconds
         else:
-            if self.fit_mode == "auto":
-                neighbor_method = self.neighbor_method
-                link_method = self.link_method
-            else:
-                # "fused"/"native" with min_neighbors > 1 land here too:
-                # pruning positive-degree points changes link counts, so
-                # the subset shortcut is invalid and the parallel kernels
-                # (identical output, two passes) take over.
-                neighbor_method, link_method = resolve_fit_mode(self.fit_mode)
-            backends["fit"] = neighbor_method
-            with tracer.span(
-                "neighbors", method=neighbor_method, n=len(sample_points)
-            ) as span:
-                graph = compute_neighbor_graph(
-                    sample_points, self.theta, similarity=self.similarity,
-                    method=neighbor_method, memory_budget=self.memory_budget,
-                    workers=self.workers, registry=registry,
-                )
-                kept, discarded = prune_sparse_points(graph, min_neighbors)
-                outlier_sample_positions = list(discarded)
-                if len(kept) == 0:
-                    raise ValueError(
-                        "every sampled point was pruned as an outlier; lower "
-                        "theta or min_neighbors"
+            attrs = (
+                {"fused": True, "native": plan.fit == "native"}
+                if plan.fused else {"method": plan.neighbor_method}
+            )
+            with tracer.span("neighbors", n=len(sample_points), **attrs) as span:
+                if plan.fused:
+                    # one-pass fused kernel: the neighbor graph never
+                    # exists.  Isolated points are degree-0, appear in
+                    # no neighbor list and therefore in no pair
+                    # increment, so subsetting the full link table
+                    # equals computing links post-pruning.
+                    fused = plan.fused_pass(
+                        sample_points, self.theta, self.similarity,
+                        self.workers, self.memory_budget, registry,
                     )
-                pruned_graph: NeighborGraph = (
-                    graph if len(kept) == len(graph) else graph.subgraph(kept)
-                )
+                    degrees = fused.degrees
+                else:
+                    graph = compute_neighbor_graph(
+                        sample_points, self.theta, similarity=self.similarity,
+                        method=plan.neighbor_method,
+                        memory_budget=self.memory_budget,
+                        workers=self.workers, registry=registry,
+                    )
+                    degrees = graph.degrees()
+                kept = np.flatnonzero(degrees >= min_neighbors)
+                discarded = np.flatnonzero(degrees < min_neighbors)
+                _require_kept(kept)
             timings["neighbors"] = span.wall_seconds
 
-            with tracer.span("links", method=link_method) as span:
-                links = compute_links(
-                    pruned_graph, method=link_method, workers=self.workers,
-                    registry=registry,
-                )
+            whole = len(kept) == len(sample_points)
+            attrs = (
+                {"fused": True} if plan.fused else {"method": plan.link_method}
+            )
+            with tracer.span("links", **attrs) as span:
+                if plan.fused:
+                    links = fused.links if whole else fused.links.subset(kept)
+                    registry.inc("fit.links.pairs", links.nnz_pairs())
+                else:
+                    links = compute_links(
+                        graph if whole else graph.subgraph(kept),
+                        method=plan.link_method, workers=self.workers,
+                        registry=registry,
+                    )
             timings["links"] = span.wall_seconds
+        outlier_sample_positions = list(discarded)
+        backends = plan.backends
 
         # -- 4. cluster (with optional pause-and-weed) ----------------------
         # (a sharded fit already clustered inside the coordinator)
-        if not sharded_fit:
+        if plan.fit != "sharded":
             starting_partition = (
                 None
                 if initial_clusters is None
@@ -567,27 +440,25 @@ class RockPipeline:
                     initial_clusters, sampled, kept, n_total
                 )
             )
-            if merge_method == "native":
-                from repro.native import available_backend
-
-                backends["merge"] = f"native:{available_backend()}"
-            else:
-                backends["merge"] = merge_method
             with tracer.span(
-                "cluster", k=self.k, merge_method=merge_method
+                "cluster", k=self.k, merge_method=plan.merge
             ) as span:
                 f_theta = self.f(self.theta)
+                merge_kwargs = dict(
+                    f_theta=f_theta, goodness_fn=self.goodness_fn,
+                    merge_method=plan.merge, workers=self.workers,
+                    registry=registry,
+                )
                 if self.min_cluster_size is not None:
                     pause_at = weeding_stop_count(
                         self.k, self.outlier_multiple
                     )
                     first = cluster_with_links(
-                        links, k=pause_at, f_theta=f_theta,
-                        initial_clusters=starting_partition,
-                        goodness_fn=self.goodness_fn,
-                        merge_method=merge_method, workers=self.workers,
-                        registry=registry,
+                        links, k=pause_at,
+                        initial_clusters=starting_partition, **merge_kwargs,
                     )
+                    # both passes merge: count the pre-weeding merges too
+                    registry.inc("fit.cluster.merges", len(first.merges))
                     survivors, weeded = weed_small_clusters(
                         first.clusters, self.min_cluster_size
                     )
@@ -599,38 +470,13 @@ class RockPipeline:
                             "outlier weeding removed every cluster; lower "
                             "min_cluster_size"
                         )
-                    result = cluster_with_links(
-                        links,
-                        k=self.k,
-                        f_theta=f_theta,
-                        initial_clusters=survivors,
-                        goodness_fn=self.goodness_fn,
-                        merge_method=merge_method, workers=self.workers,
-                        registry=registry,
-                    )
-                else:
-                    result = cluster_with_links(
-                        links, k=self.k, f_theta=f_theta,
-                        initial_clusters=starting_partition,
-                        goodness_fn=self.goodness_fn,
-                        merge_method=merge_method, workers=self.workers,
-                        registry=registry,
-                    )
+                    starting_partition = survivors
+                result = cluster_with_links(
+                    links, k=self.k, initial_clusters=starting_partition,
+                    **merge_kwargs,
+                )
                 registry.inc("fit.cluster.merges", len(result.merges))
             timings["cluster"] = span.wall_seconds
-
-        # the fit.backend gauges (numeric) and root-span attrs (strings)
-        # record which path actually ran, fallbacks included
-        registry.set_gauge(
-            "fit.backend.native_fit", int(backends.get("fit", "").startswith("native"))
-        )
-        registry.set_gauge(
-            "fit.backend.native_merge",
-            int(backends["merge"].startswith("native")),
-        )
-        if root_span is not None:
-            root_span.attrs["fit_backend"] = backends.get("fit")
-            root_span.attrs["merge_backend"] = backends["merge"]
 
         # translate pruned-graph indices -> original dataset indices
         clusters_original: list[list[int]] = [
@@ -695,6 +541,7 @@ class RockPipeline:
             labeling_sets=labeling_sets,
             similarity=self.similarity,
             backends=backends,
+            plan=plan,
         )
 
     def to_model(self, result: PipelineResult, points: Any | None = None):
@@ -766,6 +613,14 @@ def _map_initial_clusters(
             mapped.append(sorted(members))
     mapped.extend([pos] for pos in range(len(kept)) if pos not in covered)
     return mapped
+
+
+def _require_kept(kept: np.ndarray) -> None:
+    if len(kept) == 0:
+        raise ValueError(
+            "every sampled point was pruned as an outlier; lower "
+            "theta or min_neighbors"
+        )
 
 
 def _subset(points: Any, indices: Sequence[int]) -> Any:

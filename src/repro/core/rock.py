@@ -32,6 +32,12 @@ from repro.core.heaps import AddressableMaxHeap
 from repro.core.labeling import labels_from_clusters
 from repro.core.links import LinkTable, compute_links
 from repro.core.neighbors import compute_neighbor_graph
+from repro.core.plan import (
+    FIT_MODES as FIT_MODES,
+    FitPlan,
+    resolve_fit_mode as resolve_fit_mode,
+    resolve_fit_plan,
+)
 from repro.core.similarity import SimilarityFunction
 
 if TYPE_CHECKING:  # deferred: repro.obs must stay import-light here
@@ -68,12 +74,17 @@ class RockResult:
         reaching ``k`` clusters.
     n_points:
         Number of points that were clustered.
+    plan:
+        The :class:`~repro.core.plan.FitPlan` that produced the result
+        when it came from :func:`rock` (``None`` otherwise).  Not part
+        of equality: every plan yields the same clusters and merges.
     """
 
     clusters: list[list[int]]
     merges: list[MergeStep] = field(default_factory=list)
     stopped_early: bool = False
     n_points: int = 0
+    plan: FitPlan | None = field(default=None, compare=False, repr=False)
 
     def labels(self) -> np.ndarray:
         """Per-point cluster index (aligned with ``clusters`` order)."""
@@ -121,9 +132,11 @@ def cluster_with_links(
     merge_method:
         ``"heap"`` runs this module's Figure 3 reference loop;
         ``"fast"`` the component-partitioned array-backed engine of
-        :mod:`repro.core.merge` (byte-identical results); ``"auto"``
-        (default) picks fast for the built-in goodness measures and
-        the reference loop for custom callables.
+        :mod:`repro.core.merge` (byte-identical results); ``"native"``
+        that engine with :mod:`repro.native` component kernels;
+        ``"auto"`` (default) picks native when a tier passed its probe,
+        else fast, for the built-in goodness measures and the
+        reference loop for custom callables.
     workers:
         Process count for the fast engine's per-component fan-out
         (int, ``"auto"``, or ``None`` for serial).  The heap reference
@@ -136,7 +149,7 @@ def cluster_with_links(
         raise ValueError("k must be at least 1")
     from repro.core.merge import fast_cluster_with_links, resolve_merge_method
 
-    resolved = resolve_merge_method(merge_method, goodness_fn)
+    resolved = resolve_merge_method(merge_method, goodness_fn, registry)
     if resolved in ("fast", "native"):
         return fast_cluster_with_links(
             links,
@@ -225,41 +238,6 @@ def cluster_with_links(
     )
 
 
-# The coarse fit-path switch threaded through rock(), RockPipeline and
-# the CLI.  "auto" defers to the finer neighbor_method / link_method
-# knobs (and the memory-budget heuristic); the explicit modes force one
-# of the kernels end to end ("native" is the fused kernel with
-# repro.native block scoring, "sharded" the out-of-core coordinator of
-# repro.shard).  All modes produce identical results.
-FIT_MODES = ("auto", "dense", "blocked", "parallel", "fused", "native", "sharded")
-
-
-def resolve_fit_mode(fit_mode: str) -> tuple[str, str]:
-    """Map a fit mode to its ``(neighbor_method, link_method)`` pair.
-
-    ``fused``, ``native`` and ``sharded`` are not expressible as method
-    pairs -- callers branch to
-    :func:`repro.parallel.links.fused_neighbor_links` /
-    :func:`repro.native.links.native_neighbor_links` /
-    :func:`repro.shard.coordinator.shard_fit` before consulting this
-    mapping -- but mapping them to the parallel pair keeps a single
-    safe fallback for callers that cannot fuse (e.g. weighted links).
-    """
-    if fit_mode not in FIT_MODES:
-        raise ValueError(
-            f"fit_mode must be one of {FIT_MODES}, got {fit_mode!r}"
-        )
-    return {
-        "auto": ("auto", "auto"),
-        "dense": ("vectorized", "auto"),
-        "blocked": ("blocked", "auto"),
-        "parallel": ("parallel", "parallel"),
-        "fused": ("parallel", "parallel"),
-        "native": ("parallel", "parallel"),
-        "sharded": ("parallel", "parallel"),
-    }[fit_mode]
-
-
 def rock(
     points: Any,
     k: int,
@@ -286,17 +264,20 @@ def rock(
     switches to the similarity-weighted link variant of
     :func:`repro.core.links.weighted_link_matrix` (a Section 3.2
     "alternative definition"; see ablation A7).
-    ``neighbor_method="blocked"`` (or ``"auto"`` with a
-    ``memory_budget`` the dense similarity matrix would overflow) runs
-    the memory-bounded blocked kernel: neighbor lists are emitted one
-    row-block at a time and the link table stays sparse, so no
-    ``n x n`` array is ever materialised.
 
     ``fit_mode`` is the coarse switch over the whole neighbor+link
-    stage: ``"auto"`` (default) defers to ``neighbor_method`` /
-    ``link_method``; ``"dense"`` / ``"blocked"`` / ``"parallel"``
-    force those kernels; ``"fused"`` runs the one-pass fused
-    neighbor+link kernel of
+    stage, resolved together with ``merge_method`` by
+    :func:`repro.core.plan.resolve_fit_plan` (the resolved plan is
+    ``result.plan``).  ``"auto"`` (default) runs the native fused
+    neighbor+link pass whenever a :mod:`repro.native` tier passed its
+    probe and the input is native-supported (built-in Jaccard/overlap
+    over transaction-shaped points, ``theta > 0``, unweighted links);
+    otherwise it defers to ``neighbor_method`` / ``link_method``, whose
+    ``"auto"`` picks the memory-bounded blocked kernel when the dense
+    similarity matrix would exceed ``memory_budget``.  Explicit
+    ``neighbor_method`` / ``link_method`` values pin that graph path.
+    ``"dense"`` / ``"blocked"`` / ``"parallel"`` force those kernels;
+    ``"fused"`` runs the one-pass fused neighbor+link kernel of
     :func:`repro.parallel.links.fused_neighbor_links` (never
     materialising the neighbor graph); ``"native"`` is the fused pass
     with :mod:`repro.native` block kernels, degrading to ``"fused"``
@@ -315,123 +296,94 @@ def rock(
     ``"heap"`` forces the Figure 3 reference loop, ``"fast"`` the
     component-partitioned engine of :mod:`repro.core.merge`,
     ``"native"`` that engine with :mod:`repro.native` component
-    kernels, and ``"auto"`` (default) picks fast (or native when
-    :mod:`repro.native` opts in) whenever the goodness measure is a
-    built-in.  All produce byte-identical results; the fast engine
-    additionally fans components out across ``workers``.
+    kernels, and ``"auto"`` (default) picks native whenever a tier
+    passed its probe, else fast, for the built-in goodness measures
+    and the reference loop for custom callables.  All produce
+    byte-identical results; the fast engine additionally fans
+    components out across ``workers``.  ``REPRO_NATIVE=0`` keeps both
+    ``auto`` switches off the native kernels.
 
-    ``tracer`` is an optional :class:`~repro.obs.trace.Tracer`:
-    ``neighbors`` / ``links`` / ``cluster`` spans are recorded and the
-    kernels record metrics into ``tracer.registry``.  Tracing never
-    changes results.
+    ``tracer`` is an optional :class:`~repro.obs.trace.Tracer`: a root
+    ``fit`` span (carrying the resolved backends and fallback reasons)
+    with ``neighbors`` / ``links`` / ``cluster`` children is recorded,
+    and the kernels record metrics into ``tracer.registry``, including
+    one ``fit.fallback.<reason>`` count per plan degradation.  Tracing
+    never changes results.
     """
-    if fit_mode not in FIT_MODES:
-        raise ValueError(
-            f"fit_mode must be one of {FIT_MODES}, got {fit_mode!r}"
-        )
     if tracer is None:
         from repro.obs.trace import Tracer
 
         tracer = Tracer()
     registry = tracer.registry
-    if fit_mode == "sharded":
-        supported = False
-        if not weighted_links:
-            from repro.shard.coordinator import shard_fit, shard_supported
+    plan = resolve_fit_plan(
+        points, similarity, theta, fit_mode=fit_mode,
+        merge_method=merge_method, goodness_fn=goodness_fn,
+        weighted_links=weighted_links, neighbor_method=neighbor_method,
+        link_method=link_method,
+    )
+    with tracer.span(
+        "fit", n_points=len(points), fit_mode=fit_mode, k=k, theta=theta,
+        workers=workers, merge_method=merge_method,
+    ) as root_span:
+        plan.record(registry, root_span)
+        if plan.fit == "sharded":
+            from repro.shard.coordinator import shard_fit
 
-            supported, reason = shard_supported(
-                points, similarity, goodness_fn
-            )
-        else:
-            reason = "weighted links need the dense similarity matrix"
-        if supported:
-            return shard_fit(
+            result = shard_fit(
                 points, k=k, theta=theta, f_theta=f(theta),
                 similarity=similarity, goodness_fn=goodness_fn,
                 workers=workers, block_rows=shard_block_rows,
                 spill_dir=spill_dir, max_retries=max_retries,
                 memory_budget=memory_budget, tracer=tracer,
             ).result
-        import warnings
-
-        warnings.warn(
-            f"fit_mode='sharded' unavailable ({reason}); "
-            "falling back to the parallel kernels",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        fit_mode = "parallel"
-    if weighted_links:
-        from repro.core.links import LinkTable, weighted_link_matrix
-        from repro.core.neighbors import (
-            NeighborGraph,
-            adjacency_from_similarity_matrix,
-            similarity_matrix,
-        )
-
-        with tracer.span("neighbors", weighted=True, n=len(points)):
-            sim = similarity_matrix(points, similarity)
-            graph = NeighborGraph(
-                adjacency_from_similarity_matrix(sim, theta), theta=theta
+            result.plan = plan
+            return result
+        if plan.fit == "weighted":
+            from repro.core.links import weighted_link_matrix
+            from repro.core.neighbors import (
+                NeighborGraph,
+                adjacency_from_similarity_matrix,
+                similarity_matrix,
             )
-        with tracer.span("links", weighted=True):
-            links = LinkTable.from_dense(weighted_link_matrix(graph, sim))
-            registry.inc("fit.links.pairs", links.nnz_pairs())
-    elif fit_mode in ("fused", "native"):
-        from repro.parallel.links import fused_neighbor_links
 
-        run_native = False
-        if fit_mode == "native":
-            from repro.native.links import native_fit_supported
-
-            run_native, reason = native_fit_supported(
-                points, theta, similarity
-            )
-            if not run_native:
-                import warnings
-
-                warnings.warn(
-                    f"fit_mode='native' unavailable ({reason}); "
-                    "falling back to the fused kernel",
-                    RuntimeWarning,
-                    stacklevel=2,
+            with tracer.span("neighbors", weighted=True, n=len(points)):
+                sim = similarity_matrix(points, similarity)
+                graph = NeighborGraph(
+                    adjacency_from_similarity_matrix(sim, theta), theta=theta
                 )
-        with tracer.span("neighbors", fused=True, native=run_native,
-                         n=len(points)):
-            if run_native:
-                from repro.native.links import native_neighbor_links
-
-                fused = native_neighbor_links(
-                    points, theta, similarity=similarity, workers=workers,
-                    memory_budget=memory_budget, registry=registry,
+            with tracer.span("links", weighted=True):
+                links = LinkTable.from_dense(weighted_link_matrix(graph, sim))
+                registry.inc("fit.links.pairs", links.nnz_pairs())
+        elif plan.fused:
+            with tracer.span("neighbors", fused=True,
+                             native=plan.fit == "native", n=len(points)):
+                fused = plan.fused_pass(
+                    points, theta, similarity, workers, memory_budget,
+                    registry,
                 )
-            else:
-                fused = fused_neighbor_links(
-                    points, theta, similarity=similarity, workers=workers,
-                    memory_budget=memory_budget, registry=registry,
+            with tracer.span("links", fused=True):
+                links = fused.links
+                registry.inc("fit.links.pairs", links.nnz_pairs())
+        else:
+            with tracer.span("neighbors", method=plan.neighbor_method,
+                             n=len(points)):
+                graph = compute_neighbor_graph(
+                    points, theta, similarity=similarity,
+                    method=plan.neighbor_method, memory_budget=memory_budget,
+                    workers=workers, registry=registry,
                 )
-        with tracer.span("links", fused=True):
-            links = fused.links
-            registry.inc("fit.links.pairs", links.nnz_pairs())
-    else:
-        if fit_mode != "auto":
-            neighbor_method, link_method = resolve_fit_mode(fit_mode)
-        with tracer.span("neighbors", method=neighbor_method, n=len(points)):
-            graph = compute_neighbor_graph(
-                points, theta, similarity=similarity, method=neighbor_method,
-                memory_budget=memory_budget, workers=workers,
-                registry=registry,
+            with tracer.span("links", method=plan.link_method):
+                links = compute_links(
+                    graph, method=plan.link_method, workers=workers,
+                    registry=registry,
+                )
+        with tracer.span("cluster", k=k, merge_method=plan.merge):
+            result = cluster_with_links(
+                links, k=k, f_theta=f(theta), goodness_fn=goodness_fn,
+                merge_method=plan.merge, workers=workers, registry=registry,
             )
-        with tracer.span("links", method=link_method):
-            links = compute_links(
-                graph, method=link_method, workers=workers, registry=registry
-            )
-    with tracer.span("cluster", k=k, merge_method=merge_method):
-        result = cluster_with_links(
-            links, k=k, f_theta=f(theta), goodness_fn=goodness_fn,
-            merge_method=merge_method, workers=workers, registry=registry,
-        )
-        registry.inc("fit.cluster.merges", len(result.merges))
+            registry.inc("fit.cluster.merges", len(result.merges))
+    result.plan = plan
     return result
 
 

@@ -29,6 +29,12 @@ class RockClusterer:
     """ROCK clustering with the sklearn estimator protocol.
 
     Parameters mirror :class:`RockPipeline` under sklearn-style names.
+    ``fit_mode`` and ``merge_method`` default to ``"auto"``, resolved by
+    :func:`repro.core.plan.resolve_fit_plan`: the native fused pass and
+    native merge engine whenever a :mod:`repro.native` tier passes its
+    probe and the input is native-supported (``REPRO_NATIVE=0`` opts
+    out), the reference dense/blocked rule otherwise -- identical
+    clusters either way.
 
     Attributes (set by :meth:`fit`)
     -------------------------------

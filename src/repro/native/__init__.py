@@ -16,7 +16,8 @@
   one pass per query point.
 
 All are selected through the existing switches -- ``fit_mode="native"``,
-``merge_method="native"`` and ``assign_backend="native"`` -- and all
+``merge_method="native"`` and ``assign_backend="native"``, and by
+their ``"auto"`` defaults whenever a tier passes its probe -- and all
 are **bit-identical** to the reference paths: same survivor sets, same
 merge history with bitwise equal goodness floats, same ``heap_ops``
 accounting, same assignment labels and scores
@@ -43,14 +44,15 @@ declared available, so a broken toolchain can never take down a fit.
 Environment overrides:
 
 ``REPRO_NATIVE=0`` (or ``off``/``false``/``no``)
-    Disable native kernels entirely (forced ``native`` modes then fall
-    back with a warning; ``auto`` stays silent).
+    Disable native kernels entirely: the ``auto`` resolvers keep the
+    reference paths (silently), and forced ``native`` modes fall back
+    with a warning.  This is the opt-out.
 ``REPRO_NATIVE=1`` (or ``on``/``true``/``yes``)
-    Let the ``auto`` resolvers promote to native even on the C tier.
-    By default ``auto`` only promotes when *numba* imports -- a plain
-    checkout without the ``[native]`` extra keeps running the existing
-    paths -- while forced ``fit_mode="native"`` / ``merge_method=
-    "native"`` use whichever tier is available.
+    Accepted for compatibility; it means the same as leaving the
+    variable unset.  By default ``auto`` promotes to native whenever a
+    tier passes its probe -- the C tier counts, not only numba -- so a
+    plain checkout with a working C compiler runs the native fit and
+    merge kernels.
 ``REPRO_NATIVE_BACKEND=numba|cext``
     Restrict the probe to one tier.
 ``REPRO_NATIVE_CACHE=<dir>``
@@ -222,18 +224,12 @@ def native_available() -> bool:
 def auto_native() -> bool:
     """Whether the ``auto`` resolvers should promote to native kernels.
 
-    True when a backend is available *and* either numba itself imports
-    (the ``[native]`` extra is installed) or ``REPRO_NATIVE`` opts in
-    explicitly.  A checkout without the extra therefore keeps its
-    ``auto`` behaviour byte-for-byte unless the user asks -- forced
-    ``native`` modes still use the C tier.
+    True exactly when a tier passed its probe (numba or the C
+    extension), i.e. :func:`native_available`; ``REPRO_NATIVE=0``
+    turns it off.  The probe smoke-tests every kernel against exact
+    fixtures first, which is what makes promoting by default safe.
     """
-    if _disabled():
-        return False
-    if _env_flag("REPRO_NATIVE") in ("1", "on", "true", "yes"):
-        return native_available()
-    kernels = get_kernels()
-    return kernels is not None and kernels.name == "numba"
+    return native_available()
 
 
 def backend_info() -> dict[str, Any]:

@@ -19,7 +19,7 @@ arithmetic either way.
 Only the configurations the kernel understands are supported --
 transaction-shaped points (or categorical records encoded to
 transactions) under builtin Jaccard/overlap similarity with
-``theta > 0``.  :func:`native_fit_supported` reports the reason a
+``theta > 0``.  :func:`native_fit_blocker` reports the reason a
 configuration is not, so callers can warn once and fall back.
 """
 
@@ -45,6 +45,7 @@ from repro.parallel.pool import imap_chunked, resolve_workers
 
 __all__ = [
     "TransactionCSR",
+    "native_fit_blocker",
     "native_fit_supported",
     "native_neighbor_links",
     "native_transaction_csr",
@@ -161,31 +162,66 @@ def native_transaction_csr(
     )
 
 
+def native_fit_blocker(
+    points: Any,
+    theta: float,
+    similarity: SimilarityFunction | None = None,
+) -> tuple[str, str] | None:
+    """Why the native fused pass cannot run, as ``(code, message)``.
+
+    ``None`` when it can.  ``code`` is the short fallback-counter name
+    the fit planner records (``fit.fallback.<code>``); ``message`` is
+    the human-readable reason for warnings.
+    """
+    from repro.data.records import CategoricalDataset
+    from repro.native import native_available
+
+    if not native_available():
+        return "no_backend", "no native backend available"
+    if theta <= 0.0:
+        return (
+            "theta_le_0",
+            "theta <= 0 links every pair (python path handles it)",
+        )
+    if similarity is not None and not isinstance(
+        similarity, (JaccardSimilarity, OverlapSimilarity)
+    ):
+        return (
+            "custom_similarity",
+            f"similarity {type(similarity).__name__} not native-supported",
+        )
+    if isinstance(points, CategoricalDataset):
+        if isinstance(similarity, OverlapSimilarity):
+            return (
+                "categorical_overlap",
+                "overlap similarity over categorical records unsupported",
+            )
+    elif not _transaction_shaped(points):
+        return "not_transactions", "points are not transaction-shaped"
+    return None
+
+
 def native_fit_supported(
     points: Any,
     theta: float,
     similarity: SimilarityFunction | None = None,
 ) -> tuple[bool, str | None]:
     """Whether the native fused pass can run; ``(ok, reason_if_not)``."""
-    from repro.native import native_available
+    blocker = native_fit_blocker(points, theta, similarity)
+    return (True, None) if blocker is None else (False, blocker[1])
 
-    if not native_available():
-        return False, "no native backend available"
-    if theta <= 0.0:
-        return False, "theta <= 0 links every pair (python path handles it)"
-    from repro.data.records import CategoricalDataset
 
-    if similarity is not None and not isinstance(
-        similarity, (JaccardSimilarity, OverlapSimilarity)
-    ):
-        return False, f"similarity {type(similarity).__name__} not native-supported"
-    if isinstance(points, CategoricalDataset) and isinstance(
-        similarity, OverlapSimilarity
-    ):
-        return False, "overlap similarity over categorical records unsupported"
-    if _as_transactions(points) is None:
-        return False, "points are not transaction-shaped"
-    return True, None
+def _transaction_shaped(points: Any) -> bool:
+    """Whether :func:`_as_transactions` accepts ``points`` (without encoding)."""
+    from repro.data.transactions import Transaction, TransactionDataset
+
+    if isinstance(points, TransactionDataset):
+        return True
+    try:
+        first = next(iter(points))
+    except (TypeError, StopIteration):
+        return False
+    return isinstance(first, (Transaction, frozenset, set))
 
 
 # -- worker side --------------------------------------------------------------

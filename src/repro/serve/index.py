@@ -81,10 +81,10 @@ ASSIGN_BACKENDS = ("auto", "dense", "pruned", "native")
 def resolve_assign_backend(requested: str = "auto") -> tuple[str, Any | None]:
     """Resolve a requested assignment backend to ``(tier, kernels)``.
 
-    ``auto`` promotes to ``native`` only when
-    :func:`repro.native.auto_native` opts in (numba importable or
-    ``REPRO_NATIVE=1``) *and* the probed kernel namespace provides
-    ``assign_block``; otherwise it picks ``pruned``.  ``dense`` and
+    ``auto`` promotes to ``native`` whenever
+    :func:`repro.native.auto_native` holds (a tier passed its probe;
+    off under ``REPRO_NATIVE=0``) *and* the probed kernel namespace
+    provides ``assign_block``; otherwise it picks ``pruned``.  ``dense`` and
     ``pruned`` never touch the native probe.  The returned ``kernels``
     is ``None`` except for the ``native`` tier.
     """

@@ -57,7 +57,7 @@ from repro.shard.checkpoint import RunDirectory, ShardExecutor, maybe_kill_for_t
 from repro.shard.planner import component_chunks, plan_shards
 from repro.shard.store import StoreScorer, TransactionStore
 
-__all__ = ["ShardFitResult", "shard_fit", "shard_supported"]
+__all__ = ["ShardFitResult", "shard_blocker", "shard_fit", "shard_supported"]
 
 _EMPTY64 = np.empty(0, dtype=np.int64)
 
@@ -79,25 +79,40 @@ class ShardFitResult:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def shard_supported(points: Any, similarity: Any, goodness_fn: Any) -> tuple[bool, str]:
-    """Whether the sharded path can run this fit bit-identically.
+def shard_blocker(
+    points: Any, similarity: Any, goodness_fn: Any
+) -> tuple[str, str] | None:
+    """Why the sharded path cannot run this fit, as ``(code, message)``.
 
-    Requires a store-encodable input (transactions, or categorical
-    records via the ``A.v`` item expansion) under Jaccard/overlap
-    similarity, and a built-in goodness measure (custom callables are
-    not assumed picklable and carry no exactness promise under
-    reordered evaluation).
+    ``None`` when it can run bit-identically.  Requires a
+    store-encodable input (transactions, or categorical records via
+    the ``A.v`` item expansion) under Jaccard/overlap similarity, and a
+    built-in goodness measure (custom callables are not assumed
+    picklable and carry no exactness promise under reordered
+    evaluation).  ``code`` names the ``fit.fallback.<code>`` counter.
     """
     from repro.core.neighbors import supports_blocked
     from repro.core.similarity import MissingAwareJaccard
 
     if goodness_fn is not None and merge_kernel_for(goodness_fn, 0.0) is None:
-        return False, "custom goodness callables are not shardable"
+        return "custom_goodness", "custom goodness callables are not shardable"
     if isinstance(similarity, MissingAwareJaccard):
-        return False, "missing-aware similarity has no store encoding"
+        return (
+            "custom_similarity",
+            "missing-aware similarity has no store encoding",
+        )
     if not supports_blocked(points, similarity):
-        return False, "no store encoding for this points/similarity pair"
-    return True, ""
+        return (
+            "no_store_encoding",
+            "no store encoding for this points/similarity pair",
+        )
+    return None
+
+
+def shard_supported(points: Any, similarity: Any, goodness_fn: Any) -> tuple[bool, str]:
+    """Whether the sharded path can run this fit bit-identically."""
+    blocker = shard_blocker(points, similarity, goodness_fn)
+    return (True, "") if blocker is None else (False, blocker[1])
 
 
 def _as_transactions(points: Any, similarity: Any) -> tuple[Any, bool]:

@@ -166,8 +166,12 @@ class TestMergeHistoryEquivalence:
 
 class TestMergeMethodDispatch:
     def test_resolve(self):
-        assert resolve_merge_method("auto", goodness) == "fast"
-        assert resolve_merge_method("auto", naive_goodness) == "fast"
+        from repro.native import auto_native
+
+        # auto promotes to native exactly when a tier passed its probe
+        expected = "native" if auto_native() else "fast"
+        assert resolve_merge_method("auto", goodness) == expected
+        assert resolve_merge_method("auto", naive_goodness) == expected
         assert resolve_merge_method("heap", goodness) == "heap"
         assert resolve_merge_method("fast", goodness) == "fast"
         # custom callables stay on the reference loop under auto

@@ -1,10 +1,11 @@
 """Backend fallback: native modes degrade, never crash.
 
 The native kernels are an acceleration, not a requirement: a checkout
-without numba (or without any working backend at all) must keep every
-existing behaviour byte for byte.  Forced ``native`` modes that cannot
-run fall back to the reference paths with exactly one warning; ``auto``
-modes stay silent.  These tests simulate the failure modes -- numba
+without any working backend (or with ``REPRO_NATIVE=0``) must keep
+every reference behaviour byte for byte.  ``auto`` promotes to native
+whenever a tier passes its probe -- the C tier counts, not only numba.
+Forced ``native`` modes that cannot run fall back to the reference
+paths with exactly one warning; ``auto`` modes stay silent.  These tests simulate the failure modes -- numba
 missing (an import hook, which is also the true state of a machine
 without the ``[native]`` extra), every backend disabled via
 ``REPRO_NATIVE=0``, custom goodness callables, and ``min_neighbors > 1``
@@ -73,8 +74,23 @@ def baskets(n_clusters: int = 3, per: int = 8, seed: int = 3):
 class TestProbe:
     def test_numba_absent_probe_returns_none(self, no_numba):
         assert native.get_kernels("numba") is None
-        # auto never promotes without numba unless REPRO_NATIVE opts in
-        assert not native.auto_native() or native.available_backend() == "numba"
+        # auto promotes exactly when some tier (here: the C extension,
+        # if a compiler works) passed its probe
+        assert native.auto_native() == native.native_available()
+        assert native.auto_native() == (native.available_backend() == "cext")
+
+    def test_auto_policy_is_probe_health(self, monkeypatch):
+        """auto_native() == native_available() unless REPRO_NATIVE=0."""
+        for value in (None, "1", "on", "yes"):
+            if value is None:
+                monkeypatch.delenv("REPRO_NATIVE", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_NATIVE", value)
+            native._reset_for_tests()
+            assert native.auto_native() == native.native_available()
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        native._reset_for_tests()
+        assert not native.auto_native()
 
     def test_numba_absent_is_not_fatal(self, no_numba):
         """The full fit still runs (C tier or pure-Python fallback)."""
@@ -97,12 +113,16 @@ class TestProbe:
         native._reset_for_tests()
         assert native.available_backend() == "cext"
 
-    def test_unknown_backend_name_rejected(self):
+    def test_unknown_backend_name_rejected(self, monkeypatch):
+        # name validation happens past the opt-out check
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
         with pytest.raises(ValueError, match="unknown native backend"):
             native.get_kernels("turbo")
 
     def test_broken_kernels_degrade_silently(self, monkeypatch):
         """A tier whose probe blows up is treated as absent."""
+        # the probe only runs when native kernels are not opted out
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
 
         def boom(name):
             raise RuntimeError("toolchain on fire")
@@ -115,6 +135,7 @@ class TestProbe:
         # the real guard lives inside _probe: a backend loader that
         # raises is recorded as None
         monkeypatch.undo()
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
         native._reset_for_tests()
 
         class BrokenLoader:
@@ -183,13 +204,19 @@ class TestForcedNativeFallsBack:
 
 class TestAutoStaysSilent:
     def test_auto_without_opt_in_is_quiet(self, no_numba):
-        """Plain checkout: auto modes never warn, never go native."""
+        """Plain checkout: auto modes never warn, and go native exactly
+        when a tier (the C extension here) passed its probe."""
         data = baskets()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any warning fails the test
             result = RockPipeline(k=3, theta=0.5, seed=1).fit(data)
-        assert not result.backends["fit"].startswith("native")
-        assert not result.backends["merge"].startswith("native")
+        tier = native.available_backend()
+        if tier is None:
+            assert result.backends == {"fit": "auto", "merge": "fast"}
+        else:
+            assert result.backends == {
+                "fit": f"native:{tier}", "merge": f"native:{tier}",
+            }
 
     def test_auto_disabled_env_is_quiet(self, no_backends):
         data = baskets()
