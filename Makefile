@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-fast lint bench bench-smoke bench-assign bench-serve bench-serve-http bench-stream bench-shard clean-spill example-fast-assign example-serve example-serve-http example-shard example-stream
+.PHONY: test test-fast lint examples-smoke bench bench-smoke bench-assign bench-serve bench-serve-http bench-stream bench-shard clean-spill example-fast-assign example-serve example-serve-http example-shard example-stream
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/ -q
@@ -12,14 +12,22 @@ test-fast:
 lint:
 	ruff check src tests benchmarks examples
 
+# run the fit examples end to end (lint alone would not catch an
+# example calling a fit mode or option that no longer exists)
+examples-smoke:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/quickstart.py
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/parallel_fit.py
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/trace_fit.py
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/shard_fit.py
+
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# tiny-n proofs that the blocked and parallel (workers=2) fit paths
-# work and equal the dense path, that the fast merge engine matches
-# the reference loop byte for byte, that a traced fit leaves a
-# complete RunManifest, that the HTTP server answers + coalesces
-# under concurrent load, that stream mode's warmup -> drift refit
+# tiny-n proofs that the over-budget (fused) and workers=2 fused and
+# native fit paths work and equal the dense path, that the fast merge
+# engine matches the reference loop byte for byte, that a traced fit
+# leaves a complete RunManifest, that the HTTP server answers +
+# coalesces under concurrent load, that stream mode's warmup -> drift refit
 # -> republish chain runs end to end, that the sharded out-of-core
 # fit is merge-identical to fused, and that the pruned/native assign
 # tiers equal the dense matmul -- fast enough for CI

@@ -1,12 +1,15 @@
-"""Blocked fit path: clustering past the dense-similarity memory wall.
+"""Over-budget fit: clustering past the dense-similarity memory wall.
 
-The blocked neighbor kernel (``repro.core.neighbors.blocked_neighbor_graph``)
-exists so a fit can run at sample sizes where the dense ``n x n`` float64
-similarity matrix would not fit in RAM.  Two benches:
+Past the memory budget the fit runs the fused neighbor+link pass
+(``repro.parallel.links.fused_neighbor_links``, or its native tier),
+which scores one row block at a time and never holds the neighbor
+graph, so a fit can run at sample sizes where the dense ``n x n``
+float64 similarity matrix would not fit in RAM.  Two benches:
 
-* a **smoke** run at tiny ``n`` proving the blocked path is label-identical
-  to the dense path end to end (this is what ``make bench-smoke`` runs in
-  CI);
+* a **smoke** run at tiny ``n`` proving that ``auto`` over a tiny
+  memory budget with the native tier opted out resolves the fused pass
+  and is label-identical to the dense path end to end (this is what
+  ``make bench-smoke`` runs in CI);
 * a **full-scale** run (marked ``slow``) at ``n = 33,600``, whose dense
   similarity matrix would occupy ~9.0 GB -- beyond the default 1 GiB
   memory budget, and beyond :data:`~repro.core.neighbors.DENSIFY_LIMIT`,
@@ -83,37 +86,40 @@ def mean_purity(labels: np.ndarray, n_clusters: int) -> float:
     return float(np.mean(purities))
 
 
-def test_blocked_fit_smoke(benchmark, save_result):
-    """Tiny-n proof that the blocked fit equals the dense fit."""
+def test_blocked_fit_smoke(benchmark, save_result, monkeypatch):
+    """Tiny-n proof that the over-budget fit equals the dense fit."""
+    monkeypatch.setenv("REPRO_NATIVE", "0")
     n_clusters = 10
     dataset = make_clustered_baskets(n_clusters)
-    dense = RockPipeline(k=n_clusters, theta=THETA, sample_size=None, seed=0).fit(
-        dataset, label_remaining=False
-    )
+    dense = RockPipeline(
+        k=n_clusters, theta=THETA, sample_size=None, seed=0, fit_mode="dense"
+    ).fit(dataset, label_remaining=False)
     holder = {}
     benchmark.pedantic(
         lambda: holder.setdefault(
             "result",
             RockPipeline(
                 k=n_clusters, theta=THETA, sample_size=None, seed=0,
-                neighbor_method="blocked",
+                memory_budget=1,
             ).fit(dataset, label_remaining=False),
         ),
         rounds=1,
         iterations=1,
     )
-    blocked = holder["result"]
-    assert np.array_equal(blocked.labels, dense.labels)
-    assert blocked.clusters == dense.clusters
-    purity = mean_purity(blocked.labels, n_clusters)
+    over = holder["result"]
+    assert over.plan.fit == "fused"
+    assert np.array_equal(over.labels, dense.labels)
+    assert over.clusters == dense.clusters
+    purity = mean_purity(over.labels, n_clusters)
     assert purity > 0.95
     save_result(
         "blocked_fit_smoke",
         "\n".join([
-            "Blocked fit smoke: blocked == dense at tiny n",
-            f"n={len(dataset)}  clusters={blocked.n_clusters}  "
+            "Over-budget fit smoke: auto (fused, memory_budget=1) == dense "
+            "at tiny n",
+            f"n={len(dataset)}  clusters={over.n_clusters}  "
             f"purity={purity:.3f}",
-            f"clustering_seconds={blocked.clustering_seconds():.3f}",
+            f"clustering_seconds={over.clustering_seconds():.3f}",
             f"peak_rss_gb={peak_rss_bytes() / 1024**3:.2f}",
             "",
             machine_summary(),
@@ -126,9 +132,9 @@ def test_blocked_fit_beyond_dense_memory(benchmark, save_result):
     """Fit 33,600 points whose dense similarity matrix would be ~9 GB.
 
     ``dense_similarity_bytes(n)`` exceeds both the 8 GB bar and
-    ``DENSIFY_LIMIT``, so the auto method must choose the blocked
-    kernel and nothing downstream may densify -- the run would raise if
-    it tried.  Peak RSS is asserted under half the dense footprint.
+    ``DENSIFY_LIMIT``, so the auto plan must choose a fused kernel
+    (native or fused) and nothing downstream may densify.  Peak RSS is
+    asserted under half the dense footprint.
     """
     n_clusters = 1400
     dataset = make_clustered_baskets(n_clusters)

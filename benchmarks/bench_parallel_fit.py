@@ -1,15 +1,14 @@
-"""Parallel fit path: speedup-vs-workers and peak RSS vs the PR 2 baseline.
+"""Parallel fit path: speedup-vs-workers and peak RSS vs the blocked baseline.
 
-Benches the three neighbor+link kernel configurations against each
-other on the same clustered-basket generator as ``bench_blocked_fit``:
+Benches the neighbor+link kernel configurations against each other on
+the same clustered-basket generator as ``bench_blocked_fit``:
 
-* ``blocked`` -- the PR 2 serial row-block kernel (dense matmul scorer)
-  followed by the Figure 4 sparse link counter: the baseline.
-* ``parallel:W`` -- ``parallel_neighbor_graph`` + ``parallel_link_table``
-  with W workers (CSR intersection scorer with integer prefilter,
-  vectorised pair counting).
-* ``fused:W`` -- ``fused_neighbor_links`` with W workers: one pass,
-  neighbor graph never materialised.
+* ``blocked`` -- the serial row-block graph kernel (dense matmul
+  scorer) followed by the Figure 4 sparse link counter: the baseline,
+  and the memory-bounded graph builder the graph consumers still use.
+* ``fused:W`` -- ``fused_neighbor_links`` with W workers (CSR
+  intersection scorer with integer prefilter, vectorised pair
+  counting): one pass, neighbor graph never materialised.
 * ``native:W`` -- ``native_neighbor_links`` with W workers: the fused
   pass with the block kernel and pair reduction run natively
   (:mod:`repro.native`).  Skipped when no backend probes; the one-time
@@ -25,10 +24,11 @@ Each variant runs in a **fresh subprocess** (this file doubles as the
 runner: ``python bench_parallel_fit.py --variant fused:4 --n-clusters
 1260``) so ``ru_maxrss`` is a true per-variant high-water mark; worker
 processes are folded in via ``RUSAGE_CHILDREN``.  The smoke test
-(``make bench-smoke``, workers=2) also proves label-identity of all
-three paths end to end; the slow test runs at n >= 30k and asserts the
-acceptance bar: >= 2.5x speedup at 4 workers over the serial blocked
-kernel and fused peak RSS <= the blocked path's.
+(``make bench-smoke``, workers=2) also proves label-identity of the
+fused and native fit modes with the dense reference end to end; the
+slow test runs at n >= 30k and asserts the acceptance bar: >= 2.5x
+speedup at 4 workers over the serial blocked kernel and fused peak RSS
+<= the blocked path's.
 
 All timings are wall-clock over the neighbor+link stage only -- the
 merge loop is identical across variants.
@@ -72,7 +72,7 @@ def run_variant(variant: str, n_clusters: int) -> dict:
     from benchmarks.bench_blocked_fit import make_clustered_baskets
     from repro.core.links import compute_links
     from repro.core.neighbors import blocked_neighbor_graph
-    from repro.parallel import fused_neighbor_links, parallel_neighbor_graph
+    from repro.parallel import fused_neighbor_links
 
     dataset = make_clustered_baskets(n_clusters)
     n = len(dataset)
@@ -87,12 +87,6 @@ def run_variant(variant: str, n_clusters: int) -> dict:
         neighbors_s = time.perf_counter() - start
         links_start = time.perf_counter()
         links = compute_links(graph, method="sparse")
-        links_s = time.perf_counter() - links_start
-    elif name == "parallel":
-        graph = parallel_neighbor_graph(dataset, THETA, workers=workers)
-        neighbors_s = time.perf_counter() - start
-        links_start = time.perf_counter()
-        links = compute_links(graph, method="parallel", workers=workers)
         links_s = time.perf_counter() - links_start
     elif name == "fused":
         fused = fused_neighbor_links(dataset, THETA, workers=workers)
@@ -166,11 +160,7 @@ def _run_suite(
 ) -> tuple[dict, list[dict]]:
     import repro.native as native_mod
 
-    variants = (
-        ["blocked"]
-        + [f"parallel:{w}" for w in WORKER_CURVE]
-        + [f"fused:{w}" for w in WORKER_CURVE]
-    )
+    variants = ["blocked"] + [f"fused:{w}" for w in WORKER_CURVE]
     if native_mod.available_backend() is not None:
         variants += [f"native:{w}" for w in WORKER_CURVE]
     rows = [measure_traced(v, n_clusters, tracer) for v in variants]
@@ -190,7 +180,7 @@ def measure_traced(variant: str, n_clusters: int, tracer=None) -> dict:
 
 
 def test_parallel_fit_smoke(benchmark, save_result, save_manifest):
-    """Small-n: all fit modes label-identical; record the workers=2 curve."""
+    """Small-n: fused/native label-identical to dense; record workers=2."""
     from repro.obs import RunManifest, Tracer
 
     n_clusters = SMOKE_N_CLUSTERS
@@ -200,9 +190,10 @@ def test_parallel_fit_smoke(benchmark, save_result, save_manifest):
 
     dataset = make_clustered_baskets(n_clusters)
     base = RockPipeline(
-        k=n_clusters, theta=THETA, sample_size=None, seed=0
+        k=n_clusters, theta=THETA, sample_size=None, seed=0,
+        fit_mode="dense",
     ).fit(dataset, label_remaining=False)
-    modes = ["blocked", "parallel", "fused"]
+    modes = ["fused"]
     if native_mod.available_backend() is not None:
         modes.append("native")
     results = {}
@@ -222,7 +213,7 @@ def test_parallel_fit_smoke(benchmark, save_result, save_manifest):
             [measure_traced("blocked", n_clusters, tracer)]
             + [
                 measure_traced(f"{v}:2", n_clusters, tracer)
-                for v in modes[1:]
+                for v in modes
             ],
         ),
         rounds=1,
@@ -232,7 +223,8 @@ def test_parallel_fit_smoke(benchmark, save_result, save_manifest):
     save_result(
         "parallel_fit_smoke",
         "\n".join([
-            "Parallel fit smoke: all fit modes label-identical (workers=2)",
+            "Parallel fit smoke: fused/native label-identical to dense "
+            "(workers=2)",
             f"n={len(dataset)}  theta={THETA}",
             "",
             *format_curve(rows, rows[0]),
@@ -253,7 +245,7 @@ def test_parallel_fit_smoke(benchmark, save_result, save_manifest):
 def test_parallel_fit_scale(benchmark, save_result, save_manifest):
     """n >= 30k: the acceptance bar for the parallel fit path.
 
-    >= 2.5x total speedup at 4 workers over the PR 2 serial blocked
+    >= 2.5x total speedup at 4 workers over the serial blocked graph
     kernel, and fused peak RSS no higher than the blocked path's.
     """
     from repro.obs import RunManifest, Tracer
@@ -273,16 +265,13 @@ def test_parallel_fit_scale(benchmark, save_result, save_manifest):
     # every variant counted the same linked pairs -- same graph, same links
     assert len({row["linked_pairs"] for row in rows}) == 1
 
-    speedup4 = (
-        baseline["seconds_total"] / by_variant["parallel:4"]["seconds_total"]
-    )
     fused_speedup4 = (
         baseline["seconds_total"] / by_variant["fused:4"]["seconds_total"]
     )
-    assert speedup4 >= 2.5, (
-        f"parallel:4 speedup {speedup4:.2f}x below the 2.5x bar "
+    assert fused_speedup4 >= 2.5, (
+        f"fused:4 speedup {fused_speedup4:.2f}x below the 2.5x bar "
         f"({baseline['seconds_total']:.1f}s -> "
-        f"{by_variant['parallel:4']['seconds_total']:.1f}s)"
+        f"{by_variant['fused:4']['seconds_total']:.1f}s)"
     )
     assert by_variant["fused:4"]["peak_rss"] <= baseline["peak_rss"], (
         "fused peak RSS exceeds the blocked baseline"
@@ -318,12 +307,11 @@ def test_parallel_fit_scale(benchmark, save_result, save_manifest):
             "Parallel fit at n >= 30k: speedup-vs-workers and peak RSS",
             "",
             f"points     {n}  ({SLOW_N_CLUSTERS} clusters x 24, theta {THETA})",
-            "baseline   serial blocked kernel (PR 2), fresh process",
+            "baseline   serial blocked graph kernel, fresh process",
             "",
             *format_curve(rows, baseline),
             "",
-            f"parallel:4 speedup {speedup4:.2f}x, fused:4 speedup "
-            f"{fused_speedup4:.2f}x (bar: >= 2.5x)",
+            f"fused:4 speedup {fused_speedup4:.2f}x (bar: >= 2.5x)",
             "fused peak RSS <= blocked baseline: "
             f"{by_variant['fused:4']['peak_rss'] / 1024**2:.1f} MB vs "
             f"{baseline['peak_rss'] / 1024**2:.1f} MB",

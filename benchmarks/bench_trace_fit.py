@@ -1,6 +1,6 @@
 """Trace smoke: a small traced fit leaves one complete RunManifest.
 
-CI-fast proof of the observability wiring end to end: a parallel
+CI-fast proof of the observability wiring end to end: a fused
 (workers=2) fit under a :class:`~repro.obs.trace.Tracer` must produce a
 manifest that (a) round-trips through JSON, (b) contains a span for
 every fit phase, and (c) carries worker-side kernel counters merged
@@ -25,7 +25,7 @@ def test_trace_fit_smoke(benchmark, save_result, save_manifest, results_dir):
     tracer = Tracer()
     pipeline = RockPipeline(
         k=N_CLUSTERS, theta=THETA, sample_size=None, seed=0,
-        fit_mode="parallel", workers=2,
+        fit_mode="fused", workers=2,
     )
     holder = {}
     benchmark.pedantic(
@@ -39,7 +39,7 @@ def test_trace_fit_smoke(benchmark, save_result, save_manifest, results_dir):
 
     manifest = RunManifest.from_tracer(
         "bench_trace_fit_smoke", tracer,
-        config={"n": len(dataset), "theta": THETA, "fit_mode": "parallel",
+        config={"n": len(dataset), "theta": THETA, "fit_mode": "fused",
                 "workers": 2},
     )
     save_manifest("trace_fit_smoke", manifest)
@@ -54,8 +54,8 @@ def test_trace_fit_smoke(benchmark, save_result, save_manifest, results_dir):
 
     # worker-side kernel counters made it back through the pool
     counters = reloaded.metrics["counters"]
-    assert counters["fit.neighbors.rows"] == len(dataset)
-    assert counters["fit.links.chunks"] >= 1
+    assert counters["fit.fused.rows"] == len(dataset)
+    assert counters["fit.fused.blocks"] >= 1
 
     fit_span = reloaded.find_span("fit")
     phase_lines = [
@@ -65,7 +65,7 @@ def test_trace_fit_smoke(benchmark, save_result, save_manifest, results_dir):
     save_result(
         "trace_fit_smoke",
         "\n".join([
-            "Trace smoke: parallel (workers=2) fit under a Tracer",
+            "Trace smoke: fused (workers=2) fit under a Tracer",
             f"n={len(dataset)}  theta={THETA}  "
             f"clusters={result.n_clusters}",
             "",
@@ -75,7 +75,7 @@ def test_trace_fit_smoke(benchmark, save_result, save_manifest, results_dir):
             "merged worker counters: "
             + json.dumps(
                 {k: v for k, v in sorted(counters.items())
-                 if k.startswith(("fit.neighbors", "fit.links"))},
+                 if k.startswith(("fit.fused", "fit.links"))},
             ),
             "",
             machine_summary(),

@@ -3,8 +3,8 @@
 A :class:`~repro.obs.trace.Tracer` wraps every pipeline phase — sample,
 neighbors, links, cluster, label — in a span that records wall clock,
 CPU time, and peak-RSS delta, while the kernels count rows, edges, and
-link increments into the tracer's metrics registry.  With a parallel
-fit the pool workers record into their own local registries and ship
+link increments into the tracer's metrics registry.  With a fused
+fit over two workers the pool workers record into their own local registries and ship
 snapshot deltas back per chunk, so the merged counters cover the whole
 run.  Everything lands in one :class:`~repro.obs.manifest.RunManifest`
 JSON artifact.
@@ -23,10 +23,10 @@ def main() -> None:
     )
     points = basket.transactions
 
-    # --- fit under a tracer (parallel mode: 2 worker processes) ---------
+    # --- fit under a tracer (fused mode: 2 worker processes) ------------
     tracer = Tracer()
     pipeline = RockPipeline(
-        k=4, theta=0.5, seed=0, fit_mode="parallel", workers=2
+        k=4, theta=0.5, seed=0, fit_mode="fused", workers=2
     )
     result = pipeline.fit(points, tracer=tracer)
     print(f"{len(points)} baskets -> {result.n_clusters} clusters\n")
@@ -47,7 +47,7 @@ def main() -> None:
     # --- one JSON artifact for the whole run ----------------------------
     manifest = RunManifest.from_tracer(
         "example_trace_fit", tracer,
-        config={"n": len(points), "theta": 0.5, "fit_mode": "parallel",
+        config={"n": len(points), "theta": 0.5, "fit_mode": "fused",
                 "workers": 2},
     )
     manifest.save("trace_fit.manifest.json")

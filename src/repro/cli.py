@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.pipeline import RockPipeline
+from repro.core.plan import FIT_MODES
 from repro.core.similarity import MissingAwareJaccard
 from repro.data.io import read_transactions, read_uci_data, write_transactions, write_uci_data
 from repro.eval.metrics import (
@@ -57,35 +58,26 @@ from repro.eval.reporting import format_table
 
 def _add_fit_memory_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--neighbor-method",
-        choices=["auto", "vectorized", "blocked", "bruteforce"],
-        default="auto",
-        help="neighbor kernel; 'blocked' forces the memory-bounded "
-        "row-block path, 'auto' picks it when the dense similarity "
-        "matrix would exceed the memory budget",
-    )
-    sub.add_argument(
         "--memory-budget-mb", type=int, default=None,
-        help="dense-intermediate budget in MiB for the auto neighbor-"
-        "method heuristic (default 1024)",
+        help="dense-intermediate budget in MiB: past it, auto without a "
+        "native tier runs the fused pass instead of the dense path "
+        "(default 1024)",
     )
     sub.add_argument(
         "--fit-mode",
-        choices=[
-            "auto", "dense", "blocked", "parallel", "fused", "native",
-            "sharded",
-        ],
+        choices=list(FIT_MODES),
         default="auto",
         help="coarse fit-path switch; 'auto' runs the native fused pass "
         "whenever a repro.native tier passes its probe and the input is "
-        "native-supported (REPRO_NATIVE=0 opts out), else the dense/"
-        "blocked rule; 'parallel' fans row blocks out "
-        "across --workers processes, 'fused' additionally folds link "
-        "counting into the same pass (lowest peak memory), 'native' "
-        "runs the fused pass with repro.native kernels (falls back to "
-        "fused with a warning when unavailable), 'sharded' runs the "
-        "out-of-core coordinator/worker fit over a memory-mapped store "
-        "(crash-safe, resumable); all modes produce identical clusters",
+        "native-supported (REPRO_NATIVE=0 opts out), else the dense path "
+        "within the memory budget and the fused pass beyond it; 'dense' "
+        "pins the reference path, 'fused' folds link counting into the "
+        "neighbor pass with row blocks fanned out across --workers "
+        "processes (lowest peak memory), 'native' runs the fused pass "
+        "with repro.native kernels (falls back to fused with a warning "
+        "when unavailable), 'sharded' runs the out-of-core coordinator/"
+        "worker fit over a memory-mapped store (crash-safe, resumable); "
+        "all modes produce identical clusters",
     )
     sub.add_argument(
         "--shard-block-rows", type=int, default=None,
@@ -537,7 +529,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         similarity=similarity,
         sample_size=args.sample,
         min_cluster_size=args.min_cluster_size,
-        neighbor_method=args.neighbor_method,
         memory_budget=_memory_budget_bytes(args),
         fit_mode=args.fit_mode,
         merge_method=args.merge_method,
@@ -689,7 +680,6 @@ def cmd_fit_model(args: argparse.Namespace) -> int:
         sample_size=args.sample,
         min_cluster_size=args.min_cluster_size,
         labeling_fraction=args.labeling_fraction,
-        neighbor_method=args.neighbor_method,
         memory_budget=_memory_budget_bytes(args),
         fit_mode=args.fit_mode,
         merge_method=args.merge_method,
@@ -883,7 +873,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
         k=args.k,
         theta=args.theta,
         min_cluster_size=args.min_cluster_size,
-        neighbor_method=args.neighbor_method,
         memory_budget=_memory_budget_bytes(args),
         fit_mode=args.fit_mode,
         merge_method=args.merge_method,

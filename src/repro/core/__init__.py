@@ -67,7 +67,6 @@ from repro.core.rock import (
     MergeStep,
     RockResult,
     cluster_with_links,
-    resolve_fit_mode,
     rock,
 )
 from repro.core.serialization import load_result, save_result
@@ -121,7 +120,6 @@ __all__ = [
     "MERGE_METHODS",
     "attribute_item",
     "blocked_neighbor_graph",
-    "resolve_fit_mode",
     "resolve_fit_plan",
     "cluster_with_links",
     "compute_links",

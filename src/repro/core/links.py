@@ -223,7 +223,6 @@ def sparse_link_table(graph: NeighborGraph) -> LinkTable:
 def compute_links(
     graph: NeighborGraph,
     method: str = "auto",
-    workers: int | str | None = None,
     registry: Any | None = None,
 ) -> LinkTable:
     """Compute the link table, picking dense vs sparse by expected cost.
@@ -232,27 +231,15 @@ def compute_links(
     work ``sum_i m_i^2`` is small relative to the ``n^2`` (scaled by a
     constant reflecting numpy's matmul advantage) of the dense product,
     and the dense matrix square otherwise.  A sparse-backed graph (the
-    blocked fit path) always stays sparse unless ``dense`` is forced --
-    the whole point of that path is that no ``n x n`` array ever
-    exists.  ``dense`` / ``sparse`` / ``parallel`` force a path;
-    ``parallel`` is the multi-worker vectorised Figure 4 counter
-    (:func:`repro.parallel.links.parallel_link_table`), which ``auto``
-    also selects whenever ``workers`` resolves to more than one
-    process.  Every path returns identical counts.  A ``registry``
+    blocked neighbor kernel's) always stays sparse unless ``dense`` is
+    forced -- the whole point of that kernel is that no ``n x n`` array
+    ever exists.  ``dense`` / ``sparse`` force a path; both return
+    identical counts.  A ``registry``
     (:class:`~repro.obs.registry.MetricsRegistry`) receives the linked
-    pair count, plus per-chunk worker deltas on the parallel path.
+    pair count.
     """
-    if method not in ("auto", "dense", "sparse", "parallel"):
+    if method not in ("auto", "dense", "sparse"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "parallel" or (method == "auto" and workers is not None):
-        from repro.parallel.links import parallel_link_table
-        from repro.parallel.pool import resolve_workers
-
-        if method == "parallel" or resolve_workers(workers) > 1:
-            table = parallel_link_table(graph, workers=workers, registry=registry)
-            if registry is not None:
-                registry.inc("fit.links.pairs", table.nnz_pairs())
-            return table
     if method == "auto":
         if not graph.has_dense:
             method = "sparse"

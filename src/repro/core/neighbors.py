@@ -31,17 +31,18 @@ Three computation paths are provided:
 automatically whenever the dense similarity matrix would not fit the
 ``memory_budget`` (default :data:`DEFAULT_MEMORY_BUDGET`) and the
 similarity/dataset pair supports blocking; the three paths produce
-identical graphs (property-tested).
+identical graphs (property-tested).  The graph consumers (QROCK
+components, DBSCAN) rely on that; the ROCK fit itself never builds the
+graph over budget -- it runs the fused neighbor+link pass of
+:func:`repro.parallel.links.fused_neighbor_links` instead.
 
-A fourth path, ``method="parallel"`` (or ``"auto"`` with
-``workers > 1``), fans the same row blocks out across worker processes
--- see :func:`repro.parallel.neighbors.parallel_neighbor_graph`.  The
-per-block math lives in the picklable :class:`BlockScorer` objects
-built by :func:`build_block_scorer`, which every kernel (serial
-blocked, parallel, fused) shares: block scoring is row-independent and
-exact (integer intersections below 2**24, one float64 division), so
-every path produces bit-identical graphs for any block size or worker
-count.
+The per-block math lives in the picklable :class:`BlockScorer` objects
+built by :func:`build_block_scorer`, which the blocked graph kernel,
+the fused pass and the sharded fit share, over the row-block schedule
+of :func:`block_tasks` / :func:`worker_block_size`: block scoring is
+row-independent and exact (integer intersections below 2**24, one
+float64 division), so every path produces bit-identical neighbor
+lists for any block size or worker count.
 """
 
 from __future__ import annotations
@@ -274,7 +275,6 @@ def compute_neighbor_graph(
     method: str = "auto",
     memory_budget: int | None = None,
     block_size: int | None = None,
-    workers: int | str | None = None,
     registry: Any | None = None,
 ) -> NeighborGraph:
     """Build the neighbor graph of a point set at threshold ``theta``.
@@ -296,61 +296,31 @@ def compute_neighbor_graph(
         ``"auto"`` (blocked when the dense matrix would exceed the
         memory budget, else vectorised when possible), ``"vectorized"``
         (require the bulk path), ``"blocked"`` (require the row-blocked
-        sparse path), ``"parallel"`` (fan row blocks out across
-        ``workers`` processes), or ``"bruteforce"`` (always pairwise
-        calls).
+        sparse path), or ``"bruteforce"`` (always pairwise calls).
     memory_budget:
         Bytes the dense similarity intermediates may occupy before
         ``auto`` switches to the blocked path (default
         :data:`DEFAULT_MEMORY_BUDGET`).
     block_size:
-        Rows per block for the blocked/parallel paths; ``None`` sizes
-        blocks to the memory budget.
-    workers:
-        Worker processes for the parallel path (``"auto"`` = CPU
-        count).  With ``method="auto"`` and ``workers`` resolving to
-        more than one process, the parallel kernel takes over exactly
-        where the blocked kernel would have (dense matrix over budget);
-        otherwise the serial choice is unchanged.
+        Rows per block for the blocked path; ``None`` sizes blocks to
+        the memory budget.
     registry:
         Optional :class:`~repro.obs.registry.MetricsRegistry`; the
-        blocked and parallel kernels record per-block metrics into it
-        (worker-side deltas are merged back through the pool).
+        blocked kernel records per-block metrics into it.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
-    if method not in ("auto", "vectorized", "bruteforce", "blocked", "parallel"):
+    if method not in ("auto", "vectorized", "bruteforce", "blocked"):
         raise ValueError(f"unknown method {method!r}")
     if similarity is None:
         similarity = JaccardSimilarity()
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
 
-    if method == "parallel":
-        from repro.parallel.neighbors import parallel_neighbor_graph
-
-        return parallel_neighbor_graph(
-            points, theta, similarity=similarity, workers=workers,
-            block_size=block_size, memory_budget=budget, registry=registry,
-        )
-    if (
+    if method == "blocked" or (
         method == "auto"
         and supports_blocked(points, similarity)
         and dense_similarity_bytes(len(points)) > budget
     ):
-        from repro.parallel.pool import resolve_workers
-
-        if resolve_workers(workers) > 1:
-            from repro.parallel.neighbors import parallel_neighbor_graph
-
-            return parallel_neighbor_graph(
-                points, theta, similarity=similarity, workers=workers,
-                block_size=block_size, memory_budget=budget, registry=registry,
-            )
-        return blocked_neighbor_graph(
-            points, theta, similarity=similarity,
-            block_size=block_size, memory_budget=budget, registry=registry,
-        )
-    if method == "blocked":
         return blocked_neighbor_graph(
             points, theta, similarity=similarity,
             block_size=block_size, memory_budget=budget, registry=registry,
@@ -443,9 +413,9 @@ def blocked_neighbor_graph(
 
     scorer = build_block_scorer(points, similarity)
     lists: list[np.ndarray] = []
-    for start in range(0, n, block_size):
+    for start, stop in block_tasks(n, block_size):
         block_start = time.perf_counter()
-        rows = scorer.neighbor_rows(start, min(start + block_size, n), theta)
+        rows = scorer.neighbor_rows(start, stop, theta)
         lists.extend(rows)
         if registry is not None:
             registry.inc("fit.neighbors.blocks")
@@ -490,12 +460,28 @@ def default_block_size(n: int, memory_budget: int | None = None) -> int:
     return max(16, min(block_size, 8192, max(n, 16)))
 
 
+def worker_block_size(
+    n: int, workers: int, memory_budget: int | None = None
+) -> int:
+    """Per-worker block size: the budget is split across workers so the
+    sum of concurrently-resident block working sets stays within it."""
+    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
+    return default_block_size(n, max(budget // max(workers, 1), 1))
+
+
+def block_tasks(n: int, block_size: int) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` row ranges of the block schedule, in order."""
+    return [
+        (start, min(start + block_size, n)) for start in range(0, n, block_size)
+    ]
+
+
 # -- block scorers ------------------------------------------------------------
 #
 # A BlockScorer owns a compact per-point encoding and computes any row
 # range of the pairwise similarity matrix on demand.  Scorers are plain
-# picklable objects (numpy/scipy arrays + flags) so the parallel kernels
-# can ship one to each worker through the pool initializer.
+# picklable objects (numpy/scipy arrays + flags) so the fused pass can
+# ship one to each worker through the pool initializer.
 
 class BlockScorer:
     """Base: compute similarity row blocks and threshold them to neighbors."""
@@ -682,9 +668,9 @@ def build_block_scorer(
     """Build the block scorer for a supported points/similarity pair.
 
     ``prefer_sparse`` opts transactions into
-    :class:`SparseTransactionScorer` when scipy is importable (the
-    parallel and fused kernels do); the serial blocked kernel keeps the
-    dense matmul scorer.  Raises for combinations
+    :class:`SparseTransactionScorer` when scipy is importable (the fused
+    pass does); the serial blocked kernel keeps the dense matmul
+    scorer.  Raises for combinations
     :func:`supports_blocked` rejects.
     """
     if similarity is None:

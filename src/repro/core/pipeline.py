@@ -26,15 +26,17 @@ from repro.core.labeling import (
     labels_from_clusters,
 )
 from repro.core.merge import MERGE_METHODS
-from repro.core.links import compute_links
-from repro.core.neighbors import compute_neighbor_graph
 from repro.core.outliers import weed_small_clusters, weeding_stop_count
-from repro.core.plan import FIT_MODES, FitPlan, resolve_fit_plan
+from repro.core.plan import (
+    FIT_MODES,
+    FitPlan,
+    require_kept,
+    resolve_fit_plan,
+    subset_points,
+)
 from repro.core.rock import GoodnessFunction, RockResult, cluster_with_links
 from repro.core.sampling import sample_indices
 from repro.core.similarity import SimilarityFunction
-from repro.data.records import CategoricalDataset
-from repro.data.transactions import TransactionDataset
 from repro.obs.trace import Tracer
 
 
@@ -134,43 +136,35 @@ class RockPipeline:
         Fraction of each cluster used as the labeling set ``L_i``.
     goodness_fn:
         Merge-goodness strategy (ablation hook).
-    neighbor_method:
-        ``"auto"`` / ``"vectorized"`` / ``"blocked"`` / ``"bruteforce"``
-        -- ``"blocked"`` forces the memory-bounded row-block kernel
-        (sparse neighbor lists, no dense ``n x n`` array); ``"auto"``
-        picks it whenever the dense similarity matrix would exceed
-        ``memory_budget``.
     memory_budget:
-        Bytes of dense intermediates the fit may allocate before the
-        auto heuristic switches to the blocked path (default
-        :data:`repro.core.neighbors.DEFAULT_MEMORY_BUDGET`, 1 GiB).
+        Bytes of dense intermediates the fit may allocate (default
+        :data:`repro.core.neighbors.DEFAULT_MEMORY_BUDGET`, 1 GiB):
+        where ``auto`` without a native tier leaves the dense path for
+        the fused pass, and the fused kernels' block-size bound.
     fit_mode:
         Coarse switch over the neighbor+link stage, resolved together
         with ``merge_method`` by :func:`repro.core.plan.resolve_fit_plan`
         (``PipelineResult.plan``).  ``"auto"`` (default) runs the native
         fused pass whenever a :mod:`repro.native` tier passed its probe
         and the sample is native-supported (built-in Jaccard/overlap
-        over transaction-shaped points, ``theta > 0``,
-        ``min_neighbors <= 1``); otherwise it defers to
-        ``neighbor_method`` / ``link_method`` (explicit values of
-        which pin that graph path).  ``REPRO_NATIVE=0`` opts out.
-        ``"dense"`` / ``"blocked"`` / ``"parallel"`` force those
-        kernels; ``"fused"`` runs the one-pass fused neighbor+link
-        kernel (the neighbor graph is never materialised -- isolated
-        points are pruned from the fused degree vector and the link
-        table is subset exactly); ``"native"`` is the fused pass with
+        over transaction-shaped points, ``theta > 0``); otherwise the
+        dense reference path within ``memory_budget`` and the fused
+        pass beyond it.  ``REPRO_NATIVE=0`` opts out of the native
+        tier.  ``"dense"`` pins the reference oracle; ``"fused"`` runs
+        the one-pass fused neighbor+link kernel (the neighbor graph is
+        never materialised); ``"native"`` is the fused pass with
         :mod:`repro.native` block kernels, degrading to ``"fused"``
         with a single warning when no backend or an unsupported
-        configuration rules it out.  ``fused``/``native`` require
-        ``min_neighbors <= 1``; with a stricter pruning threshold the
-        pipeline uses the ``parallel`` kernels instead (silently for
-        ``fused``, with one warning for ``native``), since dropping
-        points of positive degree changes link counts and the exact
-        subset shortcut no longer applies.  All modes produce
-        identical results (property-tested).
+        configuration rules it out.  The fused kernels take the
+        pruning degrees from their one pass; when ``min_neighbors``
+        drops a point with two or more neighbors, the same kernel runs
+        a second pass over the kept points, since dropping a common
+        neighbor changes link counts.  A forced fused-family mode over a similarity without a
+        block scorer steps down to the dense path with one warning.
+        All modes produce identical results (property-tested).
     workers:
-        Process count for the parallel/fused kernels and the fast
-        merge engine's component fan-out: an int, ``"auto"`` (CPU
+        Process count for the fused kernels and the fast merge
+        engine's component fan-out: an int, ``"auto"`` (CPU
         count capped at 8), or ``None`` for serial.
     merge_method:
         Engine for the Figure 3 merge phase: ``"heap"`` (the reference
@@ -183,14 +177,14 @@ class RockPipeline:
         Byte-identical results either way (property-tested).
     shard_block_rows / spill_dir / max_retries:
         Sharded-fit knobs (``fit_mode="sharded"``): rows per scoring
-        block (default: the parallel kernels' budget-aware block
+        block (default: the fused kernels' budget-aware block
         size), the crash-safe run directory (default: a temporary
         directory, no resume), and how many times a died worker pool
         is rebuilt before the remaining units run in the coordinator.
         ``fit_mode="sharded"`` requires ``min_neighbors <= 1``, no
         ``min_cluster_size`` weeding, no ``initial_clusters`` and a
         built-in goodness measure; anything else degrades to the
-        parallel kernels with one warning.  Results are byte-identical
+        fused kernel with one warning.  Results are byte-identical
         to the fused path (property-tested).
     seed:
         Seed for sampling and labeling-set draws; runs are fully
@@ -209,8 +203,6 @@ class RockPipeline:
         min_cluster_size: int | None = None,
         labeling_fraction: float = 0.25,
         goodness_fn: GoodnessFunction = normalized_goodness,
-        link_method: str = "auto",
-        neighbor_method: str = "auto",
         memory_budget: int | None = None,
         fit_mode: str = "auto",
         workers: int | str | None = None,
@@ -249,8 +241,6 @@ class RockPipeline:
         self.min_cluster_size = min_cluster_size
         self.labeling_fraction = labeling_fraction
         self.goodness_fn = goodness_fn
-        self.link_method = link_method
-        self.neighbor_method = neighbor_method
         self.memory_budget = memory_budget
         self.fit_mode = fit_mode
         self.workers = workers
@@ -281,9 +271,9 @@ class RockPipeline:
         / ``label``); the root carries the resolved backends and the
         plan's fallback reasons, each of which is also counted as
         ``fit.fallback.<reason>``.  The kernels record counters and histograms
-        into ``tracer.registry`` -- the parallel and fused kernels merge
-        worker-side metric deltas back through the process pool, so the
-        trace survives multiprocessing.  Phase timings land in
+        into ``tracer.registry`` -- the fused kernels merge worker-side
+        metric deltas back through the process pool, so the trace
+        survives multiprocessing.  Phase timings land in
         ``PipelineResult.timings`` either way (they are read off the
         spans), so passing a tracer changes observability only, never
         results.
@@ -339,7 +329,7 @@ class RockPipeline:
                 sampled = sample_indices(n_total, self.sample_size, rng=rng)
             else:
                 sampled = list(range(n_total))
-            sample_points = _subset(points, sampled)
+            sample_points = subset_points(points, sampled)
             registry.set_gauge("fit.n_points", n_total)
             registry.set_gauge("fit.n_sampled", len(sampled))
         timings["sample"] = span.wall_seconds
@@ -352,8 +342,7 @@ class RockPipeline:
         plan = resolve_fit_plan(
             sample_points, self.similarity, self.theta, min_neighbors,
             self.fit_mode, self.merge_method, self.goodness_fn,
-            neighbor_method=self.neighbor_method,
-            link_method=self.link_method,
+            memory_budget=self.memory_budget,
             weeding=self.min_cluster_size is not None,
             resumed=initial_clusters is not None,
         )
@@ -378,55 +367,15 @@ class RockPipeline:
                 tracer=tracer,
             )
             kept, discarded = sharded.kept, sharded.discarded
-            _require_kept(kept)
+            require_kept(kept, discarded)
             result = sharded.result
             for phase in ("neighbors", "links", "cluster"):
                 timings[phase] = sharded.timings.get(phase, 0.0)
         else:
-            attrs = (
-                {"fused": True, "native": plan.fit == "native"}
-                if plan.fused else {"method": plan.neighbor_method}
+            links, kept, discarded = plan.neighbors_and_links(
+                sample_points, self.theta, self.similarity, min_neighbors,
+                self.workers, self.memory_budget, tracer, timings,
             )
-            with tracer.span("neighbors", n=len(sample_points), **attrs) as span:
-                if plan.fused:
-                    # one-pass fused kernel: the neighbor graph never
-                    # exists.  Isolated points are degree-0, appear in
-                    # no neighbor list and therefore in no pair
-                    # increment, so subsetting the full link table
-                    # equals computing links post-pruning.
-                    fused = plan.fused_pass(
-                        sample_points, self.theta, self.similarity,
-                        self.workers, self.memory_budget, registry,
-                    )
-                    degrees = fused.degrees
-                else:
-                    graph = compute_neighbor_graph(
-                        sample_points, self.theta, similarity=self.similarity,
-                        method=plan.neighbor_method,
-                        memory_budget=self.memory_budget,
-                        workers=self.workers, registry=registry,
-                    )
-                    degrees = graph.degrees()
-                kept = np.flatnonzero(degrees >= min_neighbors)
-                discarded = np.flatnonzero(degrees < min_neighbors)
-                _require_kept(kept)
-            timings["neighbors"] = span.wall_seconds
-
-            whole = len(kept) == len(sample_points)
-            attrs = (
-                {"fused": True} if plan.fused else {"method": plan.link_method}
-            )
-            with tracer.span("links", **attrs) as span:
-                if plan.fused:
-                    links = fused.links if whole else fused.links.subset(kept)
-                    registry.inc("fit.links.pairs", links.nnz_pairs())
-                else:
-                    links = compute_links(
-                        graph if whole else graph.subgraph(kept),
-                        method=plan.link_method, workers=self.workers,
-                        registry=registry,
-                    )
-            timings["links"] = span.wall_seconds
         outlier_sample_positions = list(discarded)
         backends = plan.backends
 
@@ -613,20 +562,6 @@ def _map_initial_clusters(
             mapped.append(sorted(members))
     mapped.extend([pos] for pos in range(len(kept)) if pos not in covered)
     return mapped
-
-
-def _require_kept(kept: np.ndarray) -> None:
-    if len(kept) == 0:
-        raise ValueError(
-            "every sampled point was pruned as an outlier; lower "
-            "theta or min_neighbors"
-        )
-
-
-def _subset(points: Any, indices: Sequence[int]) -> Any:
-    if isinstance(points, (TransactionDataset, CategoricalDataset)):
-        return points.subset(indices)
-    return [points[i] for i in indices]
 
 
 def _as_list(points: Any) -> list[Any]:

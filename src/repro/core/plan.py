@@ -1,69 +1,60 @@
 """The fit plan: which neighbor/link path and merge engine a fit runs.
 
 :func:`resolve_fit_plan` is the one place that turns the user-facing
-switches (``fit_mode``, ``merge_method``, ``neighbor_method`` /
-``link_method``) plus the input's shape into the kernels that actually
-run, and records *why* whenever it had to step down from the requested
-or preferred path.  :func:`repro.core.rock.rock` and
-:meth:`repro.core.pipeline.RockPipeline.fit` both consume it, so every
-front end (``RockClusterer``, ``StreamClusterer``, the CLI) resolves
-the same plan for the same configuration.
+switches (``fit_mode``, ``merge_method``) plus the input's shape into
+the kernels that actually run, and records *why* whenever it had to
+step down from the requested or preferred path.
+:func:`repro.core.rock.rock` and
+:meth:`repro.core.pipeline.RockPipeline.fit` both consume it, and both
+run the resolved plan's neighbor -> prune -> link stage through
+:meth:`FitPlan.neighbors_and_links`, so every front end
+(``RockClusterer``, ``StreamClusterer``, the CLI) runs the same kernels
+for the same configuration.
 
-The ``auto`` policy: the native fused neighbor+link pass plus the
-native merge engine wherever a :mod:`repro.native` tier passed its
-probe and the configuration is native-supported (built-in
-Jaccard/overlap similarity over transaction-shaped points, ``theta >
-0``, unweighted links, ``min_neighbors <= 1``); everywhere else the
-dense/blocked rule of :func:`~repro.core.neighbors.compute_neighbor_graph`
-and :func:`~repro.core.links.compute_links`.  Every path is
-bit-identical to the dense reference, so the plan changes speed and
+There is one production neighbor+link kernel, the fused pass (Section
+4.4's neighbor lists reduced straight to Figure 4 pair counts, the
+neighbor graph never materialised), in two tiers: ``native`` block
+kernels from :mod:`repro.native`, and the scipy/numpy ``fused`` pass
+of :func:`repro.parallel.links.fused_neighbor_links`.  The dense
+similarity matrix + adjacency square is the reference oracle
+(``fit_mode="dense"``), and the path for similarities without a block
+scorer.
+
+The ``auto`` policy: the native fused pass plus the native merge engine
+wherever a :mod:`repro.native` tier passed its probe and the
+configuration is native-supported (built-in Jaccard/overlap similarity
+over transaction-shaped points, ``theta > 0``, unweighted links).
+Otherwise, for inputs with a block scorer, the dense path while the
+dense similarity matrix fits ``memory_budget`` and the fused pass
+beyond it; inputs without one always take the dense path.  Every path
+is bit-identical to the dense reference, so the plan changes speed and
 memory, never results.
 
 Each reason the plan degrades becomes a short code in
 :attr:`FitPlan.fallbacks` (``no_backend``, ``theta_le_0``,
 ``custom_similarity``, ``categorical_overlap``, ``not_transactions``,
-``weighted_links``, ``min_neighbors``, ``custom_goodness``, and for the
-sharded path ``weeding``, ``resume``, ``no_store_encoding``), which
-:meth:`FitPlan.record` turns into ``fit.fallback.<code>`` counters.
-Forced modes that cannot run additionally warn once; ``auto`` stays
-silent.
+``weighted_links``, ``custom_goodness``, and for the sharded path
+``min_neighbors``, ``weeding``, ``resume``, ``no_store_encoding``),
+which :meth:`FitPlan.record` turns into ``fit.fallback.<code>``
+counters.  Forced modes that cannot run additionally warn once;
+``auto`` stays silent.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 # The coarse fit-path switch threaded through rock(), RockPipeline and
-# the CLI.  "auto" is the policy above; the explicit modes force one of
-# the kernels end to end ("native" is the fused kernel with
-# repro.native block scoring, "sharded" the out-of-core coordinator of
-# repro.shard).  All modes produce identical results.
-FIT_MODES = ("auto", "dense", "blocked", "parallel", "fused", "native", "sharded")
-
-
-def resolve_fit_mode(fit_mode: str) -> tuple[str, str]:
-    """Map a fit mode to its ``(neighbor_method, link_method)`` pair.
-
-    ``fused``, ``native`` and ``sharded`` are not expressible as method
-    pairs -- :func:`resolve_fit_plan` routes them to their own kernels
-    -- but mapping them to the parallel pair keeps a single safe
-    fallback for configurations that cannot fuse.
-    """
-    if fit_mode not in FIT_MODES:
-        raise ValueError(
-            f"fit_mode must be one of {FIT_MODES}, got {fit_mode!r}"
-        )
-    return {
-        "auto": ("auto", "auto"),
-        "dense": ("vectorized", "auto"),
-        "blocked": ("blocked", "auto"),
-        "parallel": ("parallel", "parallel"),
-        "fused": ("parallel", "parallel"),
-        "native": ("parallel", "parallel"),
-        "sharded": ("parallel", "parallel"),
-    }[fit_mode]
+# the CLI.  "auto" is the policy above; "dense" pins the reference
+# oracle, "fused" / "native" force the fused kernel's two tiers, and
+# "sharded" the out-of-core coordinator of repro.shard.  All modes
+# produce identical results.
+FIT_MODES = ("auto", "dense", "fused", "native", "sharded")
 
 
 @dataclass(frozen=True)
@@ -74,17 +65,13 @@ class FitPlan:
     ----------
     fit:
         The neighbor+link path: ``"native"`` / ``"fused"`` (one fused
-        pass, the neighbor graph never exists), ``"graph"`` (neighbor
-        graph then link table via ``neighbor_method`` /
-        ``link_method``), ``"weighted"`` (the similarity-weighted link
-        variant) or ``"sharded"`` (the out-of-core coordinator, which
-        also runs the merge).
+        pass, the neighbor graph never exists), ``"dense"`` (dense
+        similarity matrix, neighbor graph, then link table),
+        ``"weighted"`` (the similarity-weighted link variant) or
+        ``"sharded"`` (the out-of-core coordinator, which also runs the
+        merge).
     merge:
         The merge engine: ``"heap"``, ``"fast"`` or ``"native"``.
-    neighbor_method / link_method:
-        The :func:`~repro.core.neighbors.compute_neighbor_graph` /
-        :func:`~repro.core.links.compute_links` methods of the graph
-        path.
     native_backend:
         The probed :mod:`repro.native` tier when ``fit`` or ``merge``
         is native, else ``None``.
@@ -95,8 +82,6 @@ class FitPlan:
 
     fit: str
     merge: str
-    neighbor_method: str = "auto"
-    link_method: str = "auto"
     native_backend: str | None = None
     fallbacks: tuple[str, ...] = ()
 
@@ -111,10 +96,9 @@ class FitPlan:
             # the coordinator's workers run the component streams; the
             # stitch is the fast engine's k-way replay
             return {"fit": "sharded", "merge": "fast"}
-        fit = {
-            "native": f"native:{self.native_backend}",
-            "graph": self.neighbor_method,
-        }.get(self.fit, self.fit)
+        fit = (
+            f"native:{self.native_backend}" if self.fit == "native" else self.fit
+        )
         merge = (
             f"native:{self.native_backend}"
             if self.merge == "native" else self.merge
@@ -157,6 +141,99 @@ class FitPlan:
             memory_budget=memory_budget, registry=registry,
         )
 
+    def neighbors_and_links(
+        self,
+        points: Any,
+        theta: float,
+        similarity: Any,
+        min_neighbors: int,
+        workers: int | str | None,
+        memory_budget: int | None,
+        tracer: Any,
+        timings: dict[str, float] | None = None,
+    ) -> tuple[Any, np.ndarray, np.ndarray]:
+        """Neighbors, the §4.6 pruning, links: ``(links, kept, discarded)``.
+
+        Points with fewer than ``min_neighbors`` neighbors are
+        discarded; ``links`` covers the kept points only, reindexed to
+        their positions in ``kept``, and equals
+        ``compute_links(graph.subgraph(kept))`` on every unweighted
+        path.  The
+        fused kernels take the degrees from their one pass.  A point
+        is a common neighbor of some pair only when it has at least two
+        neighbors, so dropping points of degree 0 or 1 removes no pair
+        increment among the kept points and that pass's table is
+        subset; dropping a point of degree >= 2 removes its neighbors'
+        common-neighbor credit, so the same kernel runs a second pass
+        over the kept points.  Records ``neighbors`` /
+        ``links`` spans on ``tracer`` (and their wall seconds in
+        ``timings`` when given).
+        """
+        from repro.core.links import LinkTable, compute_links, weighted_link_matrix
+        from repro.core.neighbors import (
+            NeighborGraph,
+            adjacency_from_similarity_matrix,
+            similarity_matrix,
+        )
+
+        registry = tracer.registry
+        with tracer.span("neighbors", n=len(points), fit=self.fit) as span:
+            if self.fused:
+                fused = self.fused_pass(
+                    points, theta, similarity, workers, memory_budget, registry
+                )
+                degrees = fused.degrees
+            else:
+                sim = similarity_matrix(points, similarity)
+                graph = NeighborGraph(
+                    adjacency_from_similarity_matrix(sim, theta), theta=theta
+                )
+                degrees = graph.degrees()
+            kept = np.flatnonzero(degrees >= min_neighbors)
+            discarded = np.flatnonzero(degrees < min_neighbors)
+            require_kept(kept, discarded)
+        if timings is not None:
+            timings["neighbors"] = span.wall_seconds
+
+        whole = len(discarded) == 0
+        repass = self.fused and bool((degrees[discarded] >= 2).any())
+        with tracer.span("links", fit=self.fit, second_pass=repass) as span:
+            if repass:
+                links = self.fused_pass(
+                    subset_points(points, kept), theta, similarity, workers,
+                    memory_budget, registry,
+                ).links
+            elif self.fused:
+                links = fused.links if whole else fused.links.subset(kept)
+            elif self.fit == "weighted":
+                # only rock() resolves it, with min_neighbors=0: whole
+                links = LinkTable.from_dense(weighted_link_matrix(graph, sim))
+            else:
+                links = compute_links(graph if whole else graph.subgraph(kept))
+            registry.inc("fit.links.pairs", links.nnz_pairs())
+        if timings is not None:
+            timings["links"] = span.wall_seconds
+        return links, kept, discarded
+
+
+def require_kept(kept: np.ndarray, discarded: np.ndarray) -> None:
+    """Refuse a pruning that discarded every point."""
+    if len(kept) == 0 and len(discarded):
+        raise ValueError(
+            "every sampled point was pruned as an outlier; lower "
+            "theta or min_neighbors"
+        )
+
+
+def subset_points(points: Any, indices: Sequence[int]) -> Any:
+    """``points`` restricted to ``indices``, in the same container kind."""
+    from repro.data.records import CategoricalDataset
+    from repro.data.transactions import TransactionDataset
+
+    if isinstance(points, (TransactionDataset, CategoricalDataset)):
+        return points.subset(indices)
+    return [points[i] for i in indices]
+
 
 def resolve_fit_plan(
     points: Any,
@@ -167,8 +244,7 @@ def resolve_fit_plan(
     merge_method: str = "auto",
     goodness_fn: Any = None,
     weighted_links: bool = False,
-    neighbor_method: str = "auto",
-    link_method: str = "auto",
+    memory_budget: int | None = None,
     weeding: bool = False,
     resumed: bool = False,
 ) -> FitPlan:
@@ -177,14 +253,20 @@ def resolve_fit_plan(
     ``points`` / ``similarity`` / ``theta`` / ``min_neighbors`` are the
     fit's input (for the pipeline: the drawn sample and its pruning
     threshold); ``goodness_fn`` ``None`` means the built-in normalised
-    goodness.  ``weeding`` (the outlier-weeding pause) and ``resumed``
-    (a starting partition) only matter to the sharded path, whose
-    coordinator cannot pause or resume.  ``neighbor_method`` /
-    ``link_method`` other than ``"auto"`` pin the graph path under
-    ``fit_mode="auto"`` (no promotion, no fallback).
+    goodness.  ``memory_budget`` (default
+    :data:`~repro.core.neighbors.DEFAULT_MEMORY_BUDGET`) is where
+    ``auto`` without a native tier leaves the dense path for the fused
+    pass.  ``weeding`` (the outlier-weeding pause), ``resumed`` (a
+    starting partition) and ``min_neighbors > 1`` only matter to the
+    sharded path, whose coordinator cannot pause, resume or re-prune.
     """
     from repro.core.goodness import goodness as normalized_goodness
     from repro.core.merge import _merge_choice
+    from repro.core.neighbors import (
+        DEFAULT_MEMORY_BUDGET,
+        dense_similarity_bytes,
+        supports_blocked,
+    )
 
     if fit_mode not in FIT_MODES:
         raise ValueError(
@@ -203,15 +285,14 @@ def resolve_fit_plan(
 
     note(reason)
 
-    def plan(fit: str, methods: tuple[str, str] = ("auto", "auto")) -> FitPlan:
+    def plan(fit: str) -> FitPlan:
         native_backend = None
         if fit == "native" or merge == "native":
             from repro.native import available_backend
 
             native_backend = available_backend()
         return FitPlan(
-            fit=fit, merge=merge, neighbor_method=methods[0],
-            link_method=methods[1], native_backend=native_backend,
+            fit=fit, merge=merge, native_backend=native_backend,
             fallbacks=tuple(fallbacks),
         )
 
@@ -219,6 +300,19 @@ def resolve_fit_plan(
         note(code)
         warnings.warn(message, RuntimeWarning, stacklevel=4)
 
+    if (
+        fit_mode in ("fused", "native", "sharded")
+        and not weighted_links
+        and not supports_blocked(points, similarity)
+    ):
+        # every fused-family kernel scores through a block scorer
+        degrade(
+            "custom_similarity",
+            f"fit_mode={fit_mode!r} unavailable (no block scorer for "
+            f"{type(similarity).__name__} over these points); falling "
+            "back to the dense path",
+        )
+        return plan("dense")
     if fit_mode == "sharded":
         blocker = _shard_blocker(
             points, similarity, goodness_fn, min_neighbors, weighted_links,
@@ -229,46 +323,38 @@ def resolve_fit_plan(
         degrade(
             blocker[0],
             f"fit_mode='sharded' unavailable ({blocker[1]}); "
-            "falling back to the parallel kernels",
+            "falling back to the fused kernel",
         )
-        fit_mode = "parallel"
+        fit_mode = "fused"
     if weighted_links:
         # the weighted variant needs the dense similarity matrix itself
         if fit_mode in ("auto", "native", "fused"):
             note("weighted_links")
         return plan("weighted")
-    if fit_mode == "auto" and (neighbor_method, link_method) != ("auto", "auto"):
-        return plan("graph", (neighbor_method, link_method))
-    if min_neighbors > 1 and fit_mode in ("auto", "native", "fused"):
-        # pruning points of positive degree changes link counts, so the
-        # fused pass's exact subset shortcut no longer applies
-        if fit_mode == "native":
-            degrade(
-                "min_neighbors",
-                "fit_mode='native' requires min_neighbors <= 1; falling "
-                "back to the parallel kernels",
-            )
-        else:
-            note("min_neighbors")
-        return plan("graph", resolve_fit_mode(fit_mode))
+    if fit_mode == "dense":
+        return plan("dense")
     if fit_mode in ("auto", "native"):
         from repro.native.links import native_fit_blocker
 
         blocker = native_fit_blocker(points, theta, similarity)
         if blocker is None:
             return plan("native")
-        if fit_mode == "auto":
-            note(blocker[0])
-            return plan("graph")
-        degrade(
-            blocker[0],
-            f"fit_mode='native' unavailable ({blocker[1]}); "
-            "falling back to the fused kernel",
-        )
-        fit_mode = "fused"
-    if fit_mode == "fused":
-        return plan("fused")
-    return plan("graph", resolve_fit_mode(fit_mode))
+        if fit_mode == "native":
+            degrade(
+                blocker[0],
+                f"fit_mode='native' unavailable ({blocker[1]}); "
+                "falling back to the fused kernel",
+            )
+            return plan("fused")
+        note(blocker[0])
+        budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
+        if (
+            supports_blocked(points, similarity)
+            and dense_similarity_bytes(len(points)) > budget
+        ):
+            return plan("fused")
+        return plan("dense")
+    return plan("fused")
 
 
 def _shard_blocker(

@@ -30,14 +30,8 @@ import numpy as np
 from repro.core.goodness import default_f, goodness as normalized_goodness
 from repro.core.heaps import AddressableMaxHeap
 from repro.core.labeling import labels_from_clusters
-from repro.core.links import LinkTable, compute_links
-from repro.core.neighbors import compute_neighbor_graph
-from repro.core.plan import (
-    FIT_MODES as FIT_MODES,
-    FitPlan,
-    resolve_fit_mode as resolve_fit_mode,
-    resolve_fit_plan,
-)
+from repro.core.links import LinkTable
+from repro.core.plan import FIT_MODES as FIT_MODES, FitPlan, resolve_fit_plan
 from repro.core.similarity import SimilarityFunction
 
 if TYPE_CHECKING:  # deferred: repro.obs must stay import-light here
@@ -245,8 +239,6 @@ def rock(
     similarity: SimilarityFunction | None = None,
     f: Callable[[float], float] = default_f,
     goodness_fn: GoodnessFunction = normalized_goodness,
-    link_method: str = "auto",
-    neighbor_method: str = "auto",
     weighted_links: bool = False,
     memory_budget: int | None = None,
     fit_mode: str = "auto",
@@ -272,23 +264,24 @@ def rock(
     neighbor+link pass whenever a :mod:`repro.native` tier passed its
     probe and the input is native-supported (built-in Jaccard/overlap
     over transaction-shaped points, ``theta > 0``, unweighted links);
-    otherwise it defers to ``neighbor_method`` / ``link_method``, whose
-    ``"auto"`` picks the memory-bounded blocked kernel when the dense
-    similarity matrix would exceed ``memory_budget``.  Explicit
-    ``neighbor_method`` / ``link_method`` values pin that graph path.
-    ``"dense"`` / ``"blocked"`` / ``"parallel"`` force those kernels;
-    ``"fused"`` runs the one-pass fused neighbor+link kernel of
-    :func:`repro.parallel.links.fused_neighbor_links` (never
-    materialising the neighbor graph); ``"native"`` is the fused pass
-    with :mod:`repro.native` block kernels, degrading to ``"fused"``
-    with one warning when unsupported; ``"sharded"`` runs the
-    out-of-core coordinator of :mod:`repro.shard` (memory-mapped
-    store, per-block workers, component-wise merge), honouring
-    ``shard_block_rows`` / ``spill_dir`` / ``max_retries`` and
-    degrading to the parallel kernels with one warning when the
-    input cannot be store-encoded.  ``workers`` (int, ``"auto"``,
-    or ``None`` for serial) sets the process count for the parallel
-    and fused kernels.  Every mode yields identical clusters.  For the
+    otherwise the dense reference path while the dense similarity
+    matrix fits ``memory_budget`` (default
+    :data:`~repro.core.neighbors.DEFAULT_MEMORY_BUDGET`) and the fused
+    pass of :func:`repro.parallel.links.fused_neighbor_links` beyond
+    it (similarities without a block scorer always run dense).
+    ``"dense"`` pins the reference oracle; ``"fused"`` forces the
+    one-pass fused kernel (never materialising the neighbor graph);
+    ``"native"`` is the fused pass with :mod:`repro.native` block
+    kernels, degrading to ``"fused"`` with one warning when
+    unsupported; ``"sharded"`` runs the out-of-core coordinator of
+    :mod:`repro.shard` (memory-mapped store, per-block workers,
+    component-wise merge), honouring ``shard_block_rows`` /
+    ``spill_dir`` / ``max_retries`` and degrading to the fused kernel
+    with one warning when the input cannot be store-encoded.  A forced
+    fused-family mode over a similarity without a block scorer steps
+    down to the dense path with one warning.  ``workers`` (int,
+    ``"auto"``, or ``None`` for serial) sets the process count for the
+    fused kernels.  Every mode yields identical clusters.  For the
     full sample -> prune -> cluster -> weed -> label pipeline of
     Figure 2, use :class:`repro.core.pipeline.RockPipeline`.
 
@@ -318,8 +311,7 @@ def rock(
     plan = resolve_fit_plan(
         points, similarity, theta, fit_mode=fit_mode,
         merge_method=merge_method, goodness_fn=goodness_fn,
-        weighted_links=weighted_links, neighbor_method=neighbor_method,
-        link_method=link_method,
+        weighted_links=weighted_links, memory_budget=memory_budget,
     )
     with tracer.span(
         "fit", n_points=len(points), fit_mode=fit_mode, k=k, theta=theta,
@@ -338,45 +330,9 @@ def rock(
             ).result
             result.plan = plan
             return result
-        if plan.fit == "weighted":
-            from repro.core.links import weighted_link_matrix
-            from repro.core.neighbors import (
-                NeighborGraph,
-                adjacency_from_similarity_matrix,
-                similarity_matrix,
-            )
-
-            with tracer.span("neighbors", weighted=True, n=len(points)):
-                sim = similarity_matrix(points, similarity)
-                graph = NeighborGraph(
-                    adjacency_from_similarity_matrix(sim, theta), theta=theta
-                )
-            with tracer.span("links", weighted=True):
-                links = LinkTable.from_dense(weighted_link_matrix(graph, sim))
-                registry.inc("fit.links.pairs", links.nnz_pairs())
-        elif plan.fused:
-            with tracer.span("neighbors", fused=True,
-                             native=plan.fit == "native", n=len(points)):
-                fused = plan.fused_pass(
-                    points, theta, similarity, workers, memory_budget,
-                    registry,
-                )
-            with tracer.span("links", fused=True):
-                links = fused.links
-                registry.inc("fit.links.pairs", links.nnz_pairs())
-        else:
-            with tracer.span("neighbors", method=plan.neighbor_method,
-                             n=len(points)):
-                graph = compute_neighbor_graph(
-                    points, theta, similarity=similarity,
-                    method=plan.neighbor_method, memory_budget=memory_budget,
-                    workers=workers, registry=registry,
-                )
-            with tracer.span("links", method=plan.link_method):
-                links = compute_links(
-                    graph, method=plan.link_method, workers=workers,
-                    registry=registry,
-                )
+        links, _, _ = plan.neighbors_and_links(
+            points, theta, similarity, 0, workers, memory_budget, tracer
+        )
         with tracer.span("cluster", k=k, merge_method=plan.merge):
             result = cluster_with_links(
                 links, k=k, f_theta=f(theta), goodness_fn=goodness_fn,

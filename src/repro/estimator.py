@@ -33,8 +33,8 @@ class RockClusterer:
     :func:`repro.core.plan.resolve_fit_plan`: the native fused pass and
     native merge engine whenever a :mod:`repro.native` tier passes its
     probe and the input is native-supported (``REPRO_NATIVE=0`` opts
-    out), the reference dense/blocked rule otherwise -- identical
-    clusters either way.
+    out), otherwise the dense reference path within the memory budget
+    and the fused pass beyond it -- identical clusters either way.
 
     Attributes (set by :meth:`fit`)
     -------------------------------

@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.links import LinkTable
-from repro.core.neighbors import NeighborGraph
+from repro.core.neighbors import block_tasks, worker_block_size
 from repro.core.similarity import (
     JaccardSimilarity,
     OverlapSimilarity,
@@ -40,7 +40,6 @@ from repro.core.similarity import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.links import FusedFitResult
-from repro.parallel.neighbors import block_tasks, worker_block_size
 from repro.parallel.pool import imap_chunked, resolve_workers
 
 __all__ = [
@@ -277,7 +276,6 @@ def native_neighbor_links(
     workers: int | str | None = "auto",
     block_size: int | None = None,
     memory_budget: int | None = None,
-    keep_graph: bool = False,
     registry: MetricsRegistry | None = None,
 ) -> FusedFitResult:
     """The fused fit pass with native block kernels.
@@ -341,13 +339,4 @@ def native_neighbor_links(
     if registry is not None:
         registry.inc("fit.native.pair_increments", int(counts.sum()))
     links = LinkTable.from_pair_counts(n, codes, counts)
-    graph = None
-    if keep_graph:
-        kept_rows = [
-            full_indices[full_indptr[i] : full_indptr[i + 1]].astype(np.int64)
-            for i in range(n)
-        ]
-        graph = NeighborGraph.from_neighbor_lists(
-            kept_rows, theta=theta, validate=False
-        )
-    return FusedFitResult(links=links, degrees=degrees, theta=theta, graph=graph)
+    return FusedFitResult(links=links, degrees=degrees, theta=theta)

@@ -2,40 +2,30 @@
 
 The ROCK cost profile (paper Section 4.4) is dominated by the neighbor
 and link kernels -- ``O(n^2 m)`` set intersections plus ``O(sum m_i^2)``
-link increments.  PR 2 bounded their memory with a serial row-block
-kernel; this package makes those same row blocks the unit of
-parallelism:
+link increments.  This package makes the row blocks of
+:func:`repro.core.neighbors.block_tasks` the unit of parallelism:
 
 * :mod:`repro.parallel.pool` -- the generic chunked-execution layer
   (order-preserving ``imap`` over a worker pool whose one-time payload
   travels through the pool initializer, with a transparent serial
   fallback).  :mod:`repro.serve.parallel` is a thin consumer of it.
-* :mod:`repro.parallel.neighbors` --
-  :func:`~repro.parallel.neighbors.parallel_neighbor_graph`, the PR 2
-  blocked neighbor kernel with row blocks fanned out across workers.
-* :mod:`repro.parallel.links` -- a vectorised Figure 4 link counter
-  (:func:`~repro.parallel.links.parallel_link_table`) and the **fused**
-  neighbor+link kernel
+* :mod:`repro.parallel.links` -- the **fused** neighbor+link kernel
   (:func:`~repro.parallel.links.fused_neighbor_links`) that accumulates
-  link counts block by block without keeping the neighbor graph.
+  Figure 4 link counts block by block without keeping the neighbor
+  graph, plus the vectorised pair-count helpers it and the sharded fit
+  share.
 
 Every kernel here is a pure optimisation: outputs are exactly equal to
-the serial dense/blocked paths (property-tested), and merges preserve
-block order so runs are deterministic for any worker count.
+the dense reference path (property-tested), and merges preserve block
+order so runs are deterministic for any worker count.
 """
 
+from repro.core.neighbors import block_tasks, worker_block_size
 from repro.parallel.links import (
     FusedFitResult,
     fused_neighbor_links,
     merge_pair_counts,
     pair_link_counts,
-    parallel_link_table,
-)
-from repro.parallel.neighbors import (
-    PARALLEL_MIN_POINTS,
-    block_tasks,
-    parallel_neighbor_graph,
-    worker_block_size,
 )
 from repro.parallel.pool import (
     default_workers,
@@ -47,7 +37,6 @@ from repro.parallel.pool import (
 
 __all__ = [
     "FusedFitResult",
-    "PARALLEL_MIN_POINTS",
     "block_tasks",
     "default_workers",
     "fused_neighbor_links",
@@ -56,8 +45,6 @@ __all__ = [
     "map_chunked",
     "merge_pair_counts",
     "pair_link_counts",
-    "parallel_link_table",
-    "parallel_neighbor_graph",
     "resolve_workers",
     "worker_block_size",
 ]

@@ -9,16 +9,12 @@ run-length reduction.  Partial counts from different chunks merge by
 concatenation + ``np.add.reduceat`` -- integer sums, so the totals are
 exactly the serial table's.
 
-Two entry points:
-
-* :func:`parallel_link_table` -- Figure 4 over an existing
-  :class:`~repro.core.neighbors.NeighborGraph`, neighbor-list chunks
-  fanned out across workers.
-* :func:`fused_neighbor_links` -- the fused kernel: each row block's
-  neighbor lists are scored, converted to pair counts, and discarded,
-  so the full neighbor graph never exists in the parent.  Peak memory
-  is one block plus the (compacted) running pair counts, below the
-  blocked path which must hold every neighbor list to build the graph.
+:func:`fused_neighbor_links` is the fused kernel: each row block's
+neighbor lists are scored, converted to pair counts, and discarded, so
+the neighbor graph never exists in the parent.  Peak memory is one
+block plus the (compacted) running pair counts.  Row blocks fan out
+across :mod:`repro.parallel.pool` workers; the ordered merge keeps the
+result byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -32,12 +28,12 @@ import numpy as np
 from repro.core.links import LinkTable
 from repro.core.neighbors import (
     BlockScorer,
-    NeighborGraph,
+    block_tasks,
     build_block_scorer,
+    worker_block_size,
 )
 from repro.core.similarity import SimilarityFunction
 from repro.obs.registry import MetricsRegistry
-from repro.parallel.neighbors import block_tasks, worker_block_size
 from repro.parallel.pool import imap_chunked, resolve_workers
 
 __all__ = [
@@ -45,7 +41,6 @@ __all__ = [
     "fused_neighbor_links",
     "merge_pair_counts",
     "pair_link_counts",
-    "parallel_link_table",
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -121,81 +116,19 @@ def merge_pair_counts(
     return codes[starts], np.add.reduceat(counts, starts)
 
 
-# -- parallel Figure 4 over an existing graph ---------------------------------
-
-_LINK_STATE: dict[str, Any] = {}
-
-
-def _init_link_worker(lists: list[np.ndarray], n: int) -> None:
-    _LINK_STATE["lists"] = lists
-    _LINK_STATE["n"] = n
-
-
-def _count_link_chunk(
-    task: tuple[int, int],
-) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
-    """Count one chunk's pair links; ship counts plus a metrics delta."""
-    start, stop = task
-    t0 = time.perf_counter()
-    codes, counts = pair_link_counts(
-        _LINK_STATE["lists"][start:stop], _LINK_STATE["n"]
-    )
-    local = MetricsRegistry()
-    local.inc("fit.links.chunks")
-    local.inc("fit.links.pair_increments", int(counts.sum()))
-    local.observe("fit.links.chunk_seconds", time.perf_counter() - t0)
-    return codes, counts, local.snapshot()
-
-
-def parallel_link_table(
-    graph: NeighborGraph,
-    workers: int | str | None = "auto",
-    chunk_size: int | None = None,
-    registry: MetricsRegistry | None = None,
-) -> LinkTable:
-    """Figure 4 over chunks of neighbor lists, merged order-preservingly.
-
-    Exactly equals :func:`repro.core.links.sparse_link_table` for any
-    worker count or chunking (integer pair sums commute).  With
-    ``workers <= 1`` this is still the vectorised pair-code counter, a
-    large constant-factor win over the per-pair dict loop.  With a
-    ``registry``, worker-side metrics deltas are merged in per chunk.
-    """
-    count = resolve_workers(workers)
-    lists = graph.neighbor_lists()
-    n = graph.n
-    if chunk_size is None:
-        chunk_size = max(256, -(-n // max(4 * count, 1)))
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
-    for codes, counts, delta in imap_chunked(
-        _count_link_chunk,
-        block_tasks(n, chunk_size),
-        workers=count if n >= 4 * chunk_size else 1,
-        initializer=_init_link_worker,
-        initargs=(lists, n),
-    ):
-        parts.append((codes, counts))
-        if registry is not None:
-            registry.merge(delta)
-    return LinkTable.from_pair_counts(n, *merge_pair_counts(parts))
-
-
 # -- the fused neighbor+link kernel -------------------------------------------
 
 _FUSED_STATE: dict[str, Any] = {}
 
 
-def _init_fused_worker(scorer: BlockScorer, theta: float, keep_graph: bool) -> None:
+def _init_fused_worker(scorer: BlockScorer, theta: float) -> None:
     _FUSED_STATE["scorer"] = scorer
     _FUSED_STATE["theta"] = theta
-    _FUSED_STATE["keep_graph"] = keep_graph
 
 
 def _fused_block(
     task: tuple[int, int],
-) -> tuple[
-    np.ndarray, np.ndarray, np.ndarray, list[np.ndarray] | None, dict[str, Any]
-]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, Any]]:
     start, stop = task
     scorer: BlockScorer = _FUSED_STATE["scorer"]
     t0 = time.perf_counter()
@@ -207,27 +140,21 @@ def _fused_block(
     local.inc("fit.fused.rows", stop - start)
     local.inc("fit.fused.pair_increments", int(counts.sum()))
     local.observe("fit.fused.block_seconds", time.perf_counter() - t0)
-    return (
-        codes, counts, degrees,
-        (rows if _FUSED_STATE["keep_graph"] else None),
-        local.snapshot(),
-    )
+    return codes, counts, degrees, local.snapshot()
 
 
 @dataclass
 class FusedFitResult:
-    """Output of the fused kernel: links and degrees, graph optional.
+    """Output of the fused kernel: links and degrees.
 
     ``links`` is the full Figure 4 link table over all ``n`` points;
-    ``degrees[i]`` is point ``i``'s neighbor count (what isolated-point
-    pruning needs, since the graph itself may not exist); ``graph`` is
-    populated only when ``keep_graph=True`` was requested.
+    ``degrees[i]`` is point ``i``'s neighbor count (what the §4.6
+    pruning needs, since the graph itself never exists).
     """
 
     links: LinkTable
     degrees: np.ndarray
     theta: float
-    graph: NeighborGraph | None = None
 
     @property
     def n(self) -> int:
@@ -241,20 +168,19 @@ def fused_neighbor_links(
     workers: int | str | None = "auto",
     block_size: int | None = None,
     memory_budget: int | None = None,
-    keep_graph: bool = False,
     prefer_sparse: bool = True,
     registry: MetricsRegistry | None = None,
 ) -> FusedFitResult:
     """Score, threshold, and link-count each row block in one pass.
 
-    Per block: compute its neighbor rows (same scorer as the parallel
-    neighbor kernel), immediately reduce them to packed pair counts,
-    record the degrees, and discard the rows.  The parent merges the
-    integer pair counts (compacting periodically) and builds one
-    :class:`~repro.core.links.LinkTable` at the end -- bit-identical to
-    ``compute_links(compute_neighbor_graph(...))`` while never holding
-    the neighbor graph (unless ``keep_graph=True``, for tests and
-    callers that want both from a single pass).
+    Per block: compute its neighbor rows (the
+    :func:`~repro.core.neighbors.build_block_scorer` scorer the blocked
+    graph kernel shares), immediately reduce them to packed pair
+    counts, record the degrees, and discard the rows.  The parent
+    merges the integer pair counts (compacting periodically) and builds
+    one :class:`~repro.core.links.LinkTable` at the end -- bit-identical
+    to ``compute_links(compute_neighbor_graph(...))`` while never
+    holding the neighbor graph.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
@@ -269,21 +195,18 @@ def fused_neighbor_links(
     pending: list[tuple[np.ndarray, np.ndarray]] = []
     pending_codes = 0
     degree_blocks: list[np.ndarray] = []
-    kept_rows: list[np.ndarray] = []
-    for codes, counts, degrees, rows, delta in imap_chunked(
+    for codes, counts, degrees, delta in imap_chunked(
         _fused_block,
         block_tasks(n, block_size),
         workers=count,
         initializer=_init_fused_worker,
-        initargs=(scorer, theta, keep_graph),
+        initargs=(scorer, theta),
     ):
         if registry is not None:
             registry.merge(delta)
         pending.append((codes, counts))
         pending_codes += codes.size
         degree_blocks.append(degrees)
-        if rows is not None:
-            kept_rows.extend(rows)
         if pending_codes > _COMPACT_LIMIT:
             pending = [merge_pair_counts(pending)]
             pending_codes = pending[0][0].size
@@ -294,9 +217,4 @@ def fused_neighbor_links(
         if degree_blocks
         else np.zeros(0, dtype=np.int64)
     )
-    graph = (
-        NeighborGraph.from_neighbor_lists(kept_rows, theta=theta, validate=False)
-        if keep_graph
-        else None
-    )
-    return FusedFitResult(links=links, degrees=degrees, theta=theta, graph=graph)
+    return FusedFitResult(links=links, degrees=degrees, theta=theta)

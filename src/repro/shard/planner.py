@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.parallel.neighbors import block_tasks, worker_block_size
+from repro.core.neighbors import block_tasks, worker_block_size
 
 __all__ = ["ShardPlan", "component_chunks", "plan_shards"]
 
@@ -56,7 +56,7 @@ def plan_shards(
     """Resolve the row-block schedule.
 
     An explicit ``block_rows`` wins; otherwise the per-worker block
-    size of the parallel kernels (budget-aware, floor 16) is reused so
+    size of the fused pass (budget-aware, floor 16) is reused so
     the sharded scorer touches the same-shaped slices the fused path
     would.  With no explicit budget either, the host-aware default of
     :func:`repro.core.neighbors.resolve_memory_budget` applies.

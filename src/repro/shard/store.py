@@ -1,8 +1,8 @@
 """Memory-mapped transaction store: encode once, mmap everywhere.
 
-The parallel kernels of PR 3 ship their payload (a scorer holding the
-whole CSR indicator matrix) through the pool initializer -- every
-worker receives a pickled copy.  At sharded scale that copy *is* the
+The fused kernel ships its payload (a scorer holding the whole CSR
+indicator matrix) through the pool initializer -- every worker
+receives a pickled copy.  At sharded scale that copy *is* the
 memory problem, so this module encodes a transaction database once
 into an on-disk int32 CSR::
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.neighbors as neighbors_mod
+from repro.core.goodness import default_f
 from repro.core.links import compute_links
 from repro.core.neighbors import (
     DEFAULT_MEMORY_BUDGET,
@@ -24,7 +25,7 @@ from repro.core.neighbors import (
     supports_blocked,
 )
 from repro.core.pipeline import RockPipeline
-from repro.core.rock import rock
+from repro.core.rock import cluster_with_links, rock
 from repro.core.similarity import (
     JaccardSimilarity,
     MissingAwareJaccard,
@@ -81,10 +82,16 @@ def test_blocked_equals_dense_on_random_baskets(sets, theta, block_size, overlap
     blocked_links = compute_links(blocked)
     assert np.array_equal(blocked_links.to_dense(), dense_links.to_dense())
     k = max(1, len(dataset) // 3)
-    r_dense = rock(dataset, k=k, theta=theta, similarity=similarity)
-    r_blocked = rock(
-        dataset, k=k, theta=theta, similarity=similarity,
-        neighbor_method="blocked",
+    r_dense = rock(dataset, k=k, theta=theta, similarity=similarity,
+                   fit_mode="dense")
+    r_blocked = cluster_with_links(
+        compute_links(
+            compute_neighbor_graph(
+                dataset, theta, similarity=similarity, method="blocked",
+                block_size=block_size,
+            )
+        ),
+        k=k, f_theta=default_f(theta),
     )
     assert r_blocked.clusters == r_dense.clusters
     assert r_blocked.stopped_early == r_dense.stopped_early
@@ -138,12 +145,17 @@ def test_pipeline_blocked_equals_dense():
             sets.append(frozenset(rng.choice(pool, size=5, replace=False).tolist()))
     points = [Transaction(s) for s in sets]
     base = dict(k=6, theta=0.5, sample_size=None, seed=0)
-    dense = RockPipeline(**base).fit(points)
-    blocked = RockPipeline(**base, neighbor_method="blocked").fit(points)
+    dense = RockPipeline(**base, fit_mode="dense").fit(points)
+    # over budget the fit runs the fused pass; graph consumers still
+    # get the blocked graph from compute_neighbor_graph
     auto = RockPipeline(**base, memory_budget=1).fit(points)
-    assert np.array_equal(blocked.labels, dense.labels)
+    blocked = compute_neighbor_graph(points, 0.5, method="blocked")
+    assert graphs_equal(
+        blocked, compute_neighbor_graph(points, 0.5, method="bruteforce")
+    )
+    assert compute_neighbor_graph(points, 0.5, memory_budget=1).has_dense is False
     assert np.array_equal(auto.labels, dense.labels)
-    assert blocked.clusters == dense.clusters
+    assert auto.clusters == dense.clusters
 
 
 # -- method/budget selection -------------------------------------------------

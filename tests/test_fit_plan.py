@@ -4,15 +4,20 @@
 engine of every fit.  These tests pin
 
 * the ``auto`` policy: native fused pass + native merge wherever a tier
-  passed its probe and the configuration is native-supported, today's
-  dense/blocked rule everywhere else;
+  passed its probe and the configuration is native-supported, else the
+  dense path within the memory budget and the fused pass beyond it;
+* ``min_neighbors > 1`` runs through the fused kernels (a second pass
+  over the kept points), not a fallback;
+* a forced fused-family mode over a similarity without a block scorer
+  steps down to the dense path with one warning and one counter;
 * one ``fit.fallback.<reason>`` counter (and a root-span attribute) per
   degradation cause;
 * the merge counter counting both passes of the outlier-weeding pause;
 * as a hypothesis property: default ``rock()`` and default
   ``RockPipeline.fit()`` resolve the same plan, and each is
-  byte-identical to its ``REPRO_NATIVE=0`` run (clusters, labels and
-  the merge history with bitwise goodness floats).
+  byte-identical to its ``REPRO_NATIVE=0`` run and to ``fit_mode=
+  "dense"`` (clusters, labels and the merge history with bitwise
+  goodness floats), within and over the memory budget.
 """
 
 import contextlib
@@ -28,7 +33,7 @@ from hypothesis import strategies as st
 import repro.native as native
 from repro.core.goodness import default_f
 from repro.core.links import compute_links
-from repro.core.neighbors import compute_neighbor_graph
+from repro.core.neighbors import compute_neighbor_graph, dense_similarity_bytes
 from repro.core.outliers import prune_sparse_points, weed_small_clusters, weeding_stop_count
 from repro.core.pipeline import RockPipeline
 from repro.core.plan import FitPlan, resolve_fit_plan
@@ -37,6 +42,7 @@ from repro.core.similarity import (
     JaccardSimilarity,
     MissingAwareJaccard,
     OverlapSimilarity,
+    SimilarityTable,
 )
 from repro.data.records import CategoricalDataset, CategoricalSchema
 from repro.data.transactions import Transaction, TransactionDataset
@@ -111,33 +117,49 @@ class TestAutoPolicy:
             assert plan.backends == {"fit": f"native:{tier}",
                                      "merge": f"native:{tier}"}
         else:
-            assert plan.fit == "graph" and plan.merge == "fast"
+            assert plan.fit == "dense" and plan.merge == "fast"
             assert plan.fallbacks == ("no_backend",)
 
     def test_opt_out_resolves_reference_plan(self):
         with native_disabled():
             plan = resolve_fit_plan(baskets(), None, 0.5)
-        assert plan == FitPlan(fit="graph", merge="fast",
+        assert plan == FitPlan(fit="dense", merge="fast",
                                fallbacks=("no_backend",))
-        assert plan.backends == {"fit": "auto", "merge": "fast"}
+        assert plan.backends == {"fit": "dense", "merge": "fast"}
+
+    def test_opt_out_over_budget_resolves_fused(self):
+        with native_disabled():
+            plan = resolve_fit_plan(baskets(), None, 0.5, memory_budget=1)
+            within = resolve_fit_plan(
+                baskets(), None, 0.5,
+                memory_budget=dense_similarity_bytes(len(baskets())),
+            )
+        assert plan == FitPlan(fit="fused", merge="fast",
+                               fallbacks=("no_backend",))
+        assert within.fit == "dense"
+
+    def test_over_budget_without_block_scorer_stays_dense(self):
+        plan = resolve_fit_plan(["a", "b"], SimilarityTable({("a", "b"): 0.9}),
+                                0.5, memory_budget=1)
+        assert plan.fit == "dense"
 
     def test_explicit_graph_methods_pin_the_graph_path(self):
-        plan = resolve_fit_plan(baskets(), None, 0.5,
-                                neighbor_method="blocked")
-        assert plan.fit == "graph"
-        assert plan.neighbor_method == "blocked"
+        # the dense oracle pin: never promoted, never budget-routed
+        plan = resolve_fit_plan(baskets(), None, 0.5, fit_mode="dense",
+                                memory_budget=1)
+        assert plan.fit == "dense"
         # pinning is a choice, not a fallback (only the merge may degrade)
         assert plan.fallbacks == (() if HAS_NATIVE else ("no_backend",))
 
     def test_forced_modes_are_not_promoted(self):
-        for mode, fit in (("dense", "graph"), ("blocked", "graph"),
-                          ("parallel", "graph"), ("fused", "fused")):
+        for mode, fit in (("dense", "dense"), ("fused", "fused")):
             assert resolve_fit_plan(baskets(), None, 0.5,
                                     fit_mode=mode).fit == fit
 
     def test_rejects_unknown_modes(self):
-        with pytest.raises(ValueError, match="fit_mode"):
-            resolve_fit_plan(baskets(), None, 0.5, fit_mode="warp")
+        for mode in ("warp", "blocked", "parallel"):
+            with pytest.raises(ValueError, match="fit_mode"):
+                resolve_fit_plan(baskets(), None, 0.5, fit_mode=mode)
         with pytest.raises(ValueError, match="merge_method"):
             resolve_fit_plan(baskets(), None, 0.5, merge_method="warp")
 
@@ -186,7 +208,7 @@ class TestFallbackCounters:
         tracer = Tracer()
         result = rock(records(), k=2, theta=0.4,
                       similarity=MissingAwareJaccard(), tracer=tracer)
-        assert result.plan.fit == "graph"
+        assert result.plan.fit == "dense"
         assert_single_fallback(tracer, "custom_similarity")
 
     @needs_native
@@ -194,7 +216,7 @@ class TestFallbackCounters:
         tracer = Tracer()
         result = rock(records(), k=2, theta=0.4,
                       similarity=OverlapSimilarity(), tracer=tracer)
-        assert result.plan.fit == "graph"
+        assert result.plan.fit == "dense"
         assert_single_fallback(tracer, "categorical_overlap")
 
     def test_weighted_links(self):
@@ -205,19 +227,22 @@ class TestFallbackCounters:
         assert_single_fallback(tracer, "weighted_links")
 
     def test_min_neighbors(self):
+        # strict pruning is no longer a fallback: the plan is the one
+        # min_neighbors=1 resolves, and nothing is counted for it
         tracer = Tracer()
         result = RockPipeline(k=3, theta=0.5, min_neighbors=2, seed=1).fit(
             baskets(), tracer=tracer
         )
-        assert result.plan.fit == "graph"
-        assert result.backends["fit"] == "auto"
-        assert_single_fallback(tracer, "min_neighbors")
+        assert result.plan == resolve_fit_plan(baskets(), None, 0.5, 1)
+        assert result.plan.fit == ("native" if HAS_NATIVE else "dense")
+        assert "min_neighbors" not in fallback_counts(tracer)
+        assert "min_neighbors" not in root_span(tracer).attrs["fallbacks"]
 
     @needs_native
     def test_theta_le_0(self):
         tracer = Tracer()
         result = rock(baskets(), k=3, theta=0.0, tracer=tracer)
-        assert result.plan.fit == "graph"
+        assert result.plan.fit == "dense"
         assert_single_fallback(tracer, "theta_le_0")
 
     def test_custom_goodness(self):
@@ -246,7 +271,7 @@ class TestFallbackCounters:
                                 fit_mode="sharded", seed=1)
         with pytest.warns(RuntimeWarning, match="weeding"):
             result = pipeline.fit(baskets(), tracer=tracer)
-        assert result.plan.fit == "graph"
+        assert result.plan.fit == "fused"
         assert_single_fallback(tracer, "weeding")
 
     def test_resolve_merge_method_counts(self):
@@ -257,6 +282,97 @@ class TestFallbackCounters:
         assert resolve_merge_method("auto", custom_goodness, registry) == "heap"
         counters = registry.snapshot()["counters"]
         assert counters["fit.fallback.custom_goodness"] == 1
+
+
+# ---------------------------------------------------------------------------
+# bugfix: forced fused-family modes over a similarity with no block
+# scorer step down to the dense path -- one warning, one counter
+# ---------------------------------------------------------------------------
+
+class DiceSimilarity:
+    """A user similarity (no bulk path, no block scorer)."""
+
+    def __call__(self, a, b):
+        a, b = a.items, b.items
+        return 2 * len(a & b) / (len(a) + len(b)) if (a or b) else 0.0
+
+
+@pytest.mark.parametrize("mode", ["native", "fused", "sharded"])
+@pytest.mark.parametrize("entry", ["rock", "pipeline"])
+def test_forced_fused_modes_step_down_for_custom_similarity(mode, entry):
+    def run(fit_mode, tracer):
+        if entry == "rock":
+            return rock(baskets(), k=3, theta=0.5, similarity=DiceSimilarity(),
+                        fit_mode=fit_mode, tracer=tracer)
+        return RockPipeline(
+            k=3, theta=0.5, similarity=DiceSimilarity(), fit_mode=fit_mode,
+            seed=1,
+        ).fit(baskets(), tracer=tracer)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reference = run("auto", Tracer())
+    tracer = Tracer()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(mode, tracer)
+    runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(runtime) == 1
+    assert f"fit_mode={mode!r}" in str(runtime[0].message)
+    assert result.plan.fit == "dense"
+    assert fallback_counts(tracer)["custom_similarity"] == 1
+    if entry == "rock":
+        assert rock_view(result) == rock_view(reference)
+    else:
+        assert pipeline_view(result) == pipeline_view(reference)
+
+
+# ---------------------------------------------------------------------------
+# the fused kernels cover strict pruning and over-budget fits
+# ---------------------------------------------------------------------------
+
+def sparse_baskets(n: int = 200, vocab: int = 40, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    return TransactionDataset([
+        Transaction(rng.choice(vocab, size=rng.integers(1, 8),
+                               replace=False).tolist())
+        for _ in range(n)
+    ])
+
+
+@pytest.mark.parametrize("min_neighbors", [2, 3])
+@pytest.mark.parametrize("opt_out", [False, True])
+def test_strict_pruning_runs_the_fused_kernels(opt_out, min_neighbors):
+    data = sparse_baskets()
+    kwargs = dict(k=4, theta=0.4, min_neighbors=min_neighbors, seed=1)
+    tracer = Tracer()
+    with native_disabled() if opt_out else contextlib.nullcontext():
+        result = RockPipeline(memory_budget=1, **kwargs).fit(
+            data, tracer=tracer
+        )
+        dense = RockPipeline(fit_mode="dense", **kwargs).fit(data)
+    if opt_out or not HAS_NATIVE:
+        assert result.plan.fit == "fused"
+    else:
+        assert result.plan.fit == "native"
+    assert "min_neighbors" not in fallback_counts(tracer)
+    links_span = next(
+        c for c in root_span(tracer).children if c.name == "links"
+    )
+    # pruning dropped common neighbors (degree >= 2) only at 3: the
+    # kernel reran over the kept points; at 2 the one pass is subset
+    assert links_span.attrs["second_pass"] is (min_neighbors == 3)
+    assert len(result.outlier_indices) > 0
+    assert pipeline_view(result) == pipeline_view(dense)
+
+
+def test_opt_out_over_budget_auto_matches_dense():
+    data = sparse_baskets(seed=3)
+    with native_disabled():
+        over = rock(data, k=4, theta=0.4, memory_budget=1)
+        dense = rock(data, k=4, theta=0.4, fit_mode="dense")
+    assert over.plan.fit == "fused"
+    assert rock_view(over) == rock_view(dense)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +452,10 @@ def fit_configs(draw):
         "similarity": similarity,
         "theta": draw(st.sampled_from([0.0, 0.3, 0.5, 0.8])),
         "k": draw(st.integers(min_value=1, max_value=4)),
-        "min_neighbors": draw(st.sampled_from([0, 1, 2])),
+        "min_neighbors": draw(st.sampled_from([0, 1, 2, 3])),
         "weighted_links": draw(st.booleans()),
         "goodness_fn": draw(st.sampled_from([None, custom_goodness])),
+        "memory_budget": draw(st.sampled_from([None, 1])),
     }
 
 
@@ -387,24 +504,29 @@ def test_default_plans_agree_and_match_opt_out(config):
     k = config["k"]
     min_neighbors = config["min_neighbors"]
     weighted = config["weighted_links"]
+    budget = config["memory_budget"]
     goodness_kw = (
         {} if config["goodness_fn"] is None
         else {"goodness_fn": config["goodness_fn"]}
     )
 
-    def run_rock():
+    def run_rock(fit_mode="auto"):
         return rock(points, k=k, theta=theta, similarity=similarity,
-                    weighted_links=weighted, **goodness_kw)
+                    weighted_links=weighted, memory_budget=budget,
+                    fit_mode=fit_mode, **goodness_kw)
 
-    def run_pipeline():
+    def run_pipeline(fit_mode="auto"):
         return RockPipeline(k=k, theta=theta, similarity=similarity,
                             min_neighbors=min_neighbors, seed=0,
+                            memory_budget=budget, fit_mode=fit_mode,
                             **goodness_kw).fit(points)
 
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # auto never warns
+        warnings.simplefilter("error")  # auto (and the dense pin) never warn
         rock_result, rock_plan = outcome(run_rock)
         pipe_result, pipe_plan = outcome(run_pipeline)
+        rock_dense, _ = outcome(lambda: run_rock("dense"))
+        pipe_dense, _ = outcome(lambda: run_pipeline("dense"))
         with native_disabled():
             rock_ref, rock_ref_plan = outcome(run_rock)
             pipe_ref, pipe_ref_plan = outcome(run_pipeline)
@@ -412,28 +534,32 @@ def test_default_plans_agree_and_match_opt_out(config):
     # both entry points consume the same resolver ...
     expected = resolve_fit_plan(
         points, similarity, theta, 0, weighted_links=weighted,
-        goodness_fn=config["goodness_fn"],
+        goodness_fn=config["goodness_fn"], memory_budget=budget,
     )
     if rock_plan is not None:
         assert rock_plan == expected
     if pipe_plan is not None:
         assert pipe_plan == resolve_fit_plan(
             points, similarity, theta, min_neighbors,
-            goodness_fn=config["goodness_fn"],
+            goodness_fn=config["goodness_fn"], memory_budget=budget,
         )
+        assert "min_neighbors" not in pipe_plan.fallbacks
         # ... so with nothing pipeline-specific in play they agree
-        if rock_plan is not None and min_neighbors <= 1 and not weighted:
+        if rock_plan is not None and not weighted:
             assert pipe_plan == rock_plan
     if rock_ref_plan is not None:
         assert not rock_ref_plan.backends["fit"].startswith("native")
         assert rock_ref_plan.merge != "native"
 
     # ... and whatever it picks is byte-identical to the opt-out plan
-    if rock_plan is None:
-        assert rock_result == rock_ref
-    else:
-        assert rock_view(rock_result) == rock_view(rock_ref)
-    if pipe_plan is None:
-        assert pipe_result == pipe_ref
-    else:
-        assert pipeline_view(pipe_result) == pipeline_view(pipe_ref)
+    # and to the dense oracle
+    for result, ref in ((rock_result, rock_ref), (rock_result, rock_dense)):
+        if rock_plan is None:
+            assert result == ref
+        else:
+            assert rock_view(result) == rock_view(ref)
+    for result, ref in ((pipe_result, pipe_ref), (pipe_result, pipe_dense)):
+        if pipe_plan is None:
+            assert result == ref
+        else:
+            assert pipeline_view(result) == pipeline_view(ref)

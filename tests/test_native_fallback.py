@@ -174,20 +174,24 @@ class TestForcedNativeFallsBack:
         assert result.clusters == reference.clusters
 
     def test_fit_min_neighbors_single_warning(self, no_backends):
+        # strict pruning adds no warning of its own: the one warning is
+        # the missing backend, and the fused kernel covers min_neighbors
         data = baskets()
         pipeline = RockPipeline(
             k=3, theta=0.5, min_neighbors=2, fit_mode="native", seed=1
         )
         reference = RockPipeline(
-            k=3, theta=0.5, min_neighbors=2, fit_mode="parallel", seed=1
+            k=3, theta=0.5, min_neighbors=2, fit_mode="dense", seed=1
         ).fit(data)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = pipeline.fit(data)
         native_warnings = [
-            w for w in caught if "min_neighbors" in str(w.message)
+            w for w in caught if "fit_mode='native'" in str(w.message)
         ]
         assert len(native_warnings) == 1
+        assert not any("min_neighbors" in str(w.message) for w in caught)
+        assert result.plan.fit == "fused"
         assert result.clusters == reference.clusters
         assert np.array_equal(result.labels, reference.labels)
 
@@ -212,7 +216,7 @@ class TestAutoStaysSilent:
             result = RockPipeline(k=3, theta=0.5, seed=1).fit(data)
         tier = native.available_backend()
         if tier is None:
-            assert result.backends == {"fit": "auto", "merge": "fast"}
+            assert result.backends == {"fit": "dense", "merge": "fast"}
         else:
             assert result.backends == {
                 "fit": f"native:{tier}", "merge": f"native:{tier}",
@@ -223,7 +227,7 @@ class TestAutoStaysSilent:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = RockPipeline(k=3, theta=0.5, seed=1).fit(data)
-        assert result.backends == {"fit": "auto", "merge": "fast"}
+        assert result.backends == {"fit": "dense", "merge": "fast"}
 
 
 class TestObservability:
@@ -235,7 +239,7 @@ class TestObservability:
         assert gauges["fit.backend.native_fit"] == 0
         assert gauges["fit.backend.native_merge"] == 0
         root = next(s for s in tracer.spans() if s.name == "fit")
-        assert root.attrs["fit_backend"] == "auto"
+        assert root.attrs["fit_backend"] == "dense"
         assert root.attrs["merge_backend"] == "fast"
 
     def test_model_metadata_records_backends(self, no_backends):

@@ -29,12 +29,13 @@ from repro.core.goodness import (
     merge_kernel_for,
     naive_goodness,
 )
-from repro.core.links import LinkTable
+from repro.core.links import LinkTable, compute_links
 from repro.core.merge import (
     component_merge_stream,
     fast_cluster_with_links,
     partition_components,
 )
+from repro.core.neighbors import compute_neighbor_graph
 from repro.core.pipeline import RockPipeline
 from repro.core.rock import cluster_with_links, rock
 from repro.core.similarity import JaccardSimilarity, OverlapSimilarity
@@ -112,22 +113,23 @@ class TestNativeFusedPass:
     def test_links_degrees_graph_identical(self, sets, theta, block_size, overlap):
         dataset = TransactionDataset([Transaction(s) for s in sets])
         similarity = OverlapSimilarity() if overlap else JaccardSimilarity()
-        reference = fused_neighbor_links(
-            dataset, theta, similarity=similarity, workers=1,
-            block_size=block_size, keep_graph=True,
+        graph = compute_neighbor_graph(
+            dataset, theta, similarity=similarity, method="vectorized"
         )
+        reference = compute_links(graph, method="sparse")
+        fused = fused_neighbor_links(
+            dataset, theta, similarity=similarity, workers=1,
+            block_size=block_size,
+        )
+        assert tables_equal(fused.links, reference)
         for name in AVAILABLE:
             with forced_backend(name):
                 native = native_neighbor_links(
                     dataset, theta, similarity=similarity, workers=1,
-                    block_size=block_size, keep_graph=True,
+                    block_size=block_size,
                 )
-            assert tables_equal(native.links, reference.links)
-            assert np.array_equal(native.degrees, reference.degrees)
-            for a, b in zip(
-                native.graph.neighbor_lists(), reference.graph.neighbor_lists()
-            ):
-                assert np.array_equal(a, b)
+            assert tables_equal(native.links, reference)
+            assert np.array_equal(native.degrees, graph.degrees())
 
     @pytest.mark.parametrize("backend", AVAILABLE)
     def test_worker_count_invariance(self, backend):

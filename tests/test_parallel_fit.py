@@ -1,13 +1,15 @@
-"""Parallel and fused fit kernels vs the dense and serial-blocked paths.
+"""The fused fit kernel vs the dense and serial-blocked paths.
 
-The parallel kernels are only admissible as pure optimisations:
-identical :class:`NeighborGraph`, identical :class:`LinkTable`,
+The fused neighbor+link pass is only admissible as a pure
+optimisation: identical degrees, identical :class:`LinkTable`,
 identical final clusters for every input and worker count, with
 order-preserving (hence byte-deterministic) merges.  The hypothesis
 properties drive randomized baskets and categorical records through
-every path at tiny block/chunk sizes so each run exercises multi-block
-stitching and multi-chunk merging.
+every path at tiny block sizes so each run exercises multi-block
+stitching and multi-block pair-count merging.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -18,12 +20,13 @@ from repro.core.links import LinkTable, compute_links
 from repro.core.neighbors import (
     NeighborGraph,
     SparseTransactionScorer,
+    block_tasks,
     blocked_neighbor_graph,
     build_block_scorer,
     compute_neighbor_graph,
 )
 from repro.core.pipeline import RockPipeline
-from repro.core.rock import FIT_MODES, resolve_fit_mode, rock
+from repro.core.rock import FIT_MODES, rock
 from repro.core.similarity import (
     JaccardSimilarity,
     MissingAwareJaccard,
@@ -31,12 +34,11 @@ from repro.core.similarity import (
 )
 from repro.data.records import CategoricalDataset, CategoricalRecord, CategoricalSchema
 from repro.data.transactions import Transaction, TransactionDataset
+from repro.obs.trace import Tracer
 from repro.parallel import (
     fused_neighbor_links,
     merge_pair_counts,
     pair_link_counts,
-    parallel_link_table,
-    parallel_neighbor_graph,
 )
 from repro.parallel.pool import (
     default_workers,
@@ -69,6 +71,12 @@ def tables_equal(a: LinkTable, b: LinkTable) -> bool:
     return sorted(a.pairs()) == sorted(b.pairs())
 
 
+def assert_fused_matches(fused, graph: NeighborGraph) -> None:
+    """Fused degrees and links equal the graph's and its Figure 4 table."""
+    assert np.array_equal(fused.degrees, graph.degrees())
+    assert tables_equal(fused.links, compute_links(graph, method="sparse"))
+
+
 def make_baskets(n: int, vocab: int = 40, seed: int = 0) -> TransactionDataset:
     rng = np.random.default_rng(seed)
     return TransactionDataset([
@@ -93,6 +101,8 @@ def make_baskets(n: int, vocab: int = 40, seed: int = 0) -> TransactionDataset:
 def test_parallel_graph_equals_dense_and_blocked(
     sets, theta, block_size, overlap, workers
 ):
+    # the fused pass fanned across workers reproduces the dense and the
+    # serial blocked neighbor graphs (as degrees + links) exactly
     dataset = TransactionDataset([Transaction(s) for s in sets])
     similarity = OverlapSimilarity() if overlap else JaccardSimilarity()
     dense = compute_neighbor_graph(
@@ -101,13 +111,13 @@ def test_parallel_graph_equals_dense_and_blocked(
     blocked = blocked_neighbor_graph(
         dataset, theta, similarity=similarity, block_size=block_size
     )
-    parallel = parallel_neighbor_graph(
+    assert graphs_equal(blocked, dense)
+    fused = fused_neighbor_links(
         dataset, theta, similarity=similarity, workers=workers,
-        block_size=block_size, min_points=1,
+        block_size=block_size,
     )
-    assert graphs_equal(parallel, dense)
-    assert graphs_equal(parallel, blocked)
-    assert not parallel.has_dense
+    assert_fused_matches(fused, dense)
+    assert_fused_matches(fused, blocked)
 
 
 @settings(max_examples=50, deadline=None)
@@ -120,29 +130,26 @@ def test_parallel_graph_equals_dense_and_blocked(
 def test_fused_links_equal_dense_and_sparse_paths(sets, theta, block_size, workers):
     dataset = TransactionDataset([Transaction(s) for s in sets])
     dense = compute_neighbor_graph(dataset, theta, method="vectorized")
-    expected_dense = compute_links(dense, method="dense")
-    expected_sparse = compute_links(dense, method="sparse")
     fused = fused_neighbor_links(
-        dataset, theta, workers=workers, block_size=block_size, keep_graph=True,
+        dataset, theta, workers=workers, block_size=block_size,
     )
-    assert tables_equal(fused.links, expected_dense)
-    assert tables_equal(fused.links, expected_sparse)
-    assert graphs_equal(fused.graph, dense)
-    assert np.array_equal(fused.degrees, dense.degrees())
-    chunked = parallel_link_table(dense, workers=workers, chunk_size=2)
-    assert tables_equal(chunked, expected_sparse)
+    assert tables_equal(fused.links, compute_links(dense, method="dense"))
+    assert_fused_matches(fused, dense)
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     sets=item_sets,
     theta=st.sampled_from([0.25, 0.5]),
-    mode=st.sampled_from(["dense", "blocked", "parallel", "fused"]),
+    mode=st.sampled_from(["dense", "fused", "native"]),
 )
 def test_rock_clusters_identical_across_fit_modes(sets, theta, mode):
     dataset = TransactionDataset([Transaction(s) for s in sets])
     base = rock(dataset, k=2, theta=theta)
-    alt = rock(dataset, k=2, theta=theta, fit_mode=mode, workers=2)
+    with warnings.catch_warnings():
+        # a forced native mode without a probed tier warns and runs fused
+        warnings.simplefilter("ignore", RuntimeWarning)
+        alt = rock(dataset, k=2, theta=theta, fit_mode=mode, workers=2)
     assert sorted(map(sorted, alt.clusters)) == sorted(map(sorted, base.clusters))
 
 
@@ -167,17 +174,10 @@ def test_parallel_graph_on_missing_aware_records(rows, theta):
     dense = compute_neighbor_graph(
         dataset, theta, similarity=similarity, method="vectorized"
     )
-    parallel = parallel_neighbor_graph(
-        dataset, theta, similarity=similarity, workers=3,
-        block_size=2, min_points=1,
-    )
     fused = fused_neighbor_links(
-        dataset, theta, similarity=similarity, workers=3,
-        block_size=2, keep_graph=True,
+        dataset, theta, similarity=similarity, workers=3, block_size=2,
     )
-    assert graphs_equal(parallel, dense)
-    assert graphs_equal(fused.graph, dense)
-    assert tables_equal(fused.links, compute_links(dense, method="sparse"))
+    assert_fused_matches(fused, dense)
 
 
 # -- determinism: identical bytes across repeated multi-worker runs ----------
@@ -185,23 +185,23 @@ def test_parallel_graph_on_missing_aware_records(rows, theta):
 
 def test_workers4_runs_are_byte_identical():
     dataset = make_baskets(400)
-    graphs = [
-        parallel_neighbor_graph(
-            dataset, 0.4, workers=4, block_size=37, min_points=1
-        )
+    runs = [
+        fused_neighbor_links(dataset, 0.4, workers=4, block_size=37)
         for _ in range(2)
     ]
     first, second = (
-        [lst.tobytes() for lst in g.neighbor_lists()] for g in graphs
+        (run.degrees.tobytes(), list(run.links.pairs())) for run in runs
     )
     assert first == second
 
-    fits = [
-        RockPipeline(
-            k=5, theta=0.4, seed=3, fit_mode=mode, workers=4
-        ).fit(dataset, label_remaining=False)
-        for mode in ("parallel", "parallel", "fused", "fused")
-    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # native w/o a tier
+        fits = [
+            RockPipeline(
+                k=5, theta=0.4, seed=3, fit_mode=mode, workers=4
+            ).fit(dataset, label_remaining=False)
+            for mode in ("fused", "fused", "native", "native")
+        ]
     labels = [fit.labels.tobytes() for fit in fits]
     assert labels[0] == labels[1] == labels[2] == labels[3]
 
@@ -303,14 +303,6 @@ def test_link_table_subset_equals_subgraph_links():
 # -- fallbacks and routing ----------------------------------------------------
 
 
-def test_parallel_falls_back_to_serial_below_min_points():
-    dataset = make_baskets(30)
-    graph = parallel_neighbor_graph(dataset, 0.4, workers=4)  # n < min_points
-    assert graphs_equal(
-        graph, blocked_neighbor_graph(dataset, 0.4)
-    )
-
-
 def test_sparse_scorer_is_opt_in_for_parallel_paths():
     pytest.importorskip("scipy")
     dataset = make_baskets(30)
@@ -330,21 +322,23 @@ def test_sparse_scorer_is_opt_in_for_parallel_paths():
     overlap=st.booleans(),
 )
 def test_sparse_scorer_matches_dense_scorer(sets, theta, block_size, overlap):
-    # the parallel paths default to the CSR scorer; its prefilter and
+    # the fused pass defaults to the CSR scorer; its prefilter and
     # unsorted-product handling need their own equivalence property
-    # against the forced-dense scorer: same graph and same fused links
+    # against the forced-dense scorer: same rows and same fused links
     pytest.importorskip("scipy")
     dataset = TransactionDataset([Transaction(s) for s in sets])
     similarity = OverlapSimilarity() if overlap else JaccardSimilarity()
-    dense_graph = parallel_neighbor_graph(
-        dataset, theta, similarity=similarity, workers=2,
-        block_size=block_size, min_points=1, prefer_sparse=False,
+    dense_rows, sparse_rows = (
+        [
+            row
+            for start, stop in block_tasks(len(dataset), block_size)
+            for row in build_block_scorer(
+                dataset, similarity, prefer_sparse=prefer
+            ).neighbor_rows(start, stop, theta)
+        ]
+        for prefer in (False, True)
     )
-    sparse_graph = parallel_neighbor_graph(
-        dataset, theta, similarity=similarity, workers=2,
-        block_size=block_size, min_points=1, prefer_sparse=True,
-    )
-    assert graphs_equal(sparse_graph, dense_graph)
+    assert all(map(np.array_equal, sparse_rows, dense_rows))
     dense_fused = fused_neighbor_links(
         dataset, theta, similarity=similarity, workers=2,
         block_size=block_size, prefer_sparse=False,
@@ -358,29 +352,37 @@ def test_sparse_scorer_matches_dense_scorer(sets, theta, block_size, overlap):
 
 
 def test_fused_pipeline_with_strict_pruning_falls_back():
-    # min_neighbors > 1 invalidates the subset shortcut; the pipeline
-    # must route to the (two-pass) parallel kernels and still agree
+    # min_neighbors > 1 invalidates the subset shortcut; the fused pass
+    # itself runs a second pass over the kept points -- no fallback --
+    # and still agrees with the dense oracle
     dataset = make_baskets(200)
-    base = RockPipeline(k=4, theta=0.4, seed=1, min_neighbors=3).fit(
-        dataset, label_remaining=False
-    )
+    base = RockPipeline(
+        k=4, theta=0.4, seed=1, min_neighbors=3, fit_mode="dense"
+    ).fit(dataset, label_remaining=False)
+    tracer = Tracer()
     fused = RockPipeline(
         k=4, theta=0.4, seed=1, min_neighbors=3, fit_mode="fused", workers=2
-    ).fit(dataset, label_remaining=False)
+    ).fit(dataset, label_remaining=False, tracer=tracer)
+    assert fused.plan.fit == "fused"
+    assert fused.plan.fallbacks == base.plan.fallbacks
+    assert "min_neighbors" not in fused.plan.fallbacks
+    (root,) = tracer.spans()
+    links_span = next(s for s in root.children if s.name == "links")
+    assert links_span.attrs["second_pass"] is True
     assert np.array_equal(base.labels, fused.labels)
+    assert fused.outlier_indices == base.outlier_indices
+    assert fused.rock_result.merges == base.rock_result.merges
 
 
 def test_fit_mode_validation():
-    assert resolve_fit_mode("parallel") == ("parallel", "parallel")
-    with pytest.raises(ValueError):
-        resolve_fit_mode("warp")
+    for removed in ("blocked", "parallel"):
+        with pytest.raises(ValueError):
+            RockPipeline(k=2, theta=0.5, fit_mode=removed)
     with pytest.raises(ValueError):
         RockPipeline(k=2, theta=0.5, fit_mode="warp")
     with pytest.raises(ValueError):
         rock(make_baskets(10), k=2, theta=0.5, fit_mode="warp")
-    assert set(FIT_MODES) == {
-        "auto", "dense", "blocked", "parallel", "fused", "native", "sharded",
-    }
+    assert FIT_MODES == ("auto", "dense", "fused", "native", "sharded")
 
 
 def test_model_metadata_records_fit_mode_and_workers():
