@@ -12,13 +12,17 @@ test-fast:
 lint:
 	ruff check src tests benchmarks examples
 
-# run the fit examples end to end (lint alone would not catch an
-# example calling a fit mode or option that no longer exists)
+# run the fit and assignment examples end to end (lint alone would not
+# catch an example calling a fit mode, assign tier or option that no
+# longer exists)
 examples-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/quickstart.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/parallel_fit.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/trace_fit.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/shard_fit.py
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/fast_assign.py
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/serve_assign.py
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/stream_cluster.py
 
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
@@ -30,7 +34,7 @@ bench:
 # coalesces under concurrent load, that stream mode's warmup -> drift refit
 # -> republish chain runs end to end, that the sharded out-of-core
 # fit is merge-identical to fused, and that the pruned/native assign
-# tiers equal the dense matmul -- fast enough for CI
+# tiers equal the dense LabelingIndex oracle -- fast enough for CI
 bench-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \
 		benchmarks/bench_blocked_fit.py benchmarks/bench_parallel_fit.py \
@@ -39,8 +43,9 @@ bench-smoke:
 		benchmarks/bench_shard_fit.py benchmarks/bench_serve_throughput.py \
 		-k smoke --benchmark-disable -s
 
-# the assignment-tier comparison: dense matmul vs inverted-index
-# pruning vs the native fused kernel across a (clusters x vocab) grid
+# the assignment-tier comparison: inverted-index pruning and the native
+# fused kernel against the dense LabelingIndex oracle across a
+# (clusters x vocab) grid, engine-level and over HTTP
 bench-assign:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \
 		benchmarks/bench_serve_throughput.py::test_assign_tiers \

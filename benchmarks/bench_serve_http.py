@@ -23,12 +23,16 @@ concurrency level, asserts correctness and that coalescing happened at
 all, skips the throughput comparison (too noisy for shared runners).
 
 ``test_serve_http_assign_backends`` compares whole-server RPS and
-latency across the engine's scoring tiers (``dense`` vs ``pruned`` vs
-``native`` where probed) on a deployment-shaped model -- the
-end-to-end view of the inverted-index fast path that
+latency across the engine's scoring tiers (``pruned`` vs ``native``
+where probed) on a deployment-shaped model -- the end-to-end view of
+the inverted-index fast path that
 ``bench_serve_throughput.test_assign_tiers`` measures at the engine
-level.  Numbers are reported, not asserted: HTTP adds enough noise
-that the tier bar lives in the engine bench.
+level.  Its baseline row is the dense ``oracle`` (the
+:class:`~repro.core.labeling.LabelingIndex` matmul) labeling the same
+request points one at a time in-process, with no HTTP at all; every
+tier's labels over HTTP must equal the oracle's.  Numbers are
+reported, not asserted: HTTP adds enough noise that the tier bar lives
+in the engine bench.
 """
 
 import http.client
@@ -225,9 +229,11 @@ def test_serve_http_assign_backends(
     """Whole-server throughput per engine scoring tier."""
     from benchmarks.bench_serve_throughput import (
         available_tiers,
+        oracle_labeler,
         tier_model,
         tier_points,
     )
+    from repro.data.transactions import Transaction
     from repro.obs import RunManifest, Tracer
 
     n_clusters, vocab = 200, 2_000
@@ -238,9 +244,27 @@ def test_serve_http_assign_backends(
 
     tracer = Tracer()
     tiers = available_tiers()
-    rows = []
-    results = []
-    reference_labels = None
+    # the baseline: the dense oracle labels each request's point alone,
+    # in-process -- the per-request work without any serving layer
+    oracle = oracle_labeler(model)
+    requests = [
+        [Transaction(points[i % len(points)])] for i in range(16 * 30)
+    ]
+    latencies = []
+    start = time.perf_counter()
+    for request in requests:
+        t0 = time.perf_counter()
+        oracle(request)
+        latencies.append(time.perf_counter() - t0)
+    results = [{
+        "backend": "oracle",
+        "rps": len(requests) / (time.perf_counter() - start),
+        "p50_ms": 1000 * percentile(latencies, 50),
+        "p99_ms": 1000 * percentile(latencies, 99),
+    }]
+    reference_labels = oracle(
+        [Transaction(p) for p in points[:200]]
+    ).tolist()
     for backend in tiers:
         with serve_in_thread(
             model_path, poll_seconds=30.0, assign_backend=backend
@@ -256,8 +280,6 @@ def test_serve_http_assign_backends(
             )
             labels = json.loads(conn.getresponse().read())["labels"]
             conn.close()
-            if reference_labels is None:
-                reference_labels = labels
             assert labels == reference_labels, f"{backend} diverges over HTTP"
 
             drive(handle.address, points, 2, 4)  # warm
@@ -266,18 +288,20 @@ def test_serve_http_assign_backends(
                     handle.address, points, 16, 30
                 )
         assert not failures, f"{backend}: {failures[:5]}"
-        record = {
+        results.append({
             "backend": backend,
             "rps": len(latencies) / wall,
             "p50_ms": 1000 * percentile(latencies, 50),
             "p99_ms": 1000 * percentile(latencies, 99),
-        }
-        results.append(record)
-        rows.append([
-            backend, f"{record['rps']:,.0f}",
+        })
+    rows = [
+        [
+            record["backend"], f"{record['rps']:,.0f}",
             f"{record['p50_ms']:.1f}", f"{record['p99_ms']:.1f}",
             f"{record['rps'] / results[0]['rps']:.2f}x",
-        ])
+        ]
+        for record in results
+    ]
 
     # pytest-benchmark stats: one pruned-tier burst
     with serve_in_thread(
@@ -289,11 +313,12 @@ def test_serve_http_assign_backends(
         )
 
     text = format_table(
-        ["tier", "RPS", "p50 ms", "p99 ms", "vs dense"],
+        ["tier", "RPS", "p50 ms", "p99 ms", "vs oracle"],
         rows,
         title=(
             f"HTTP /assign by engine tier ({n_clusters} clusters, "
-            f"{vocab:,} vocab; concurrency 16, 30 req/worker)"
+            f"{vocab:,} vocab; concurrency 16, 30 req/worker; oracle = "
+            f"dense LabelingIndex matmul in-process, one point per call)"
         ),
     )
     if "native" not in tiers:

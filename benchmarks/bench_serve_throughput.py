@@ -18,11 +18,14 @@ saved table.
 
 ``test_assign_tiers`` is the backend-tier comparison: on models sized
 like real deployments (hundreds of clusters, thousands of vocabulary
-items) it measures the ``dense`` matmul against the ``pruned``
-inverted-index path and the ``native`` fused kernel, reporting RPS and
-per-call p50/p99 per tier, asserting label equality everywhere and
-pruned > dense throughput at every config.  ``test_assign_tiers_smoke``
-is the CI variant: one small model, correctness + index wiring only.
+items) it measures the ``pruned`` inverted-index path and the
+``native`` fused kernel against the dense ``oracle`` -- the
+:class:`~repro.core.labeling.LabelingIndex` matmul behind
+:class:`ClusterLabeler`, timed directly on the same batches --
+reporting RPS and per-call p50/p99 per tier, asserting label equality
+everywhere and that both tiers beat the oracle at every config.
+``test_assign_tiers_smoke`` is the CI variant: one small model,
+correctness + index wiring only.
 """
 
 import json
@@ -31,8 +34,10 @@ import statistics
 import time
 import warnings
 
+import numpy as np
+
 from benchmarks.machine import machine_summary
-from repro.core.labeling import ClusterLabeler
+from repro.core.labeling import ClusterLabeler, LabelingIndex
 from repro.data.transactions import Transaction
 from repro.eval import format_table
 from repro.serve import (
@@ -212,8 +217,8 @@ def tier_points(pools, vocab, n, seed=1):
 
 
 def available_tiers():
-    """dense + pruned always; native when a probed kernel provides it."""
-    tiers = ["dense", "pruned"]
+    """pruned always; native when a probed kernel provides it."""
+    tiers = ["pruned"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         backend, _ = resolve_assign_backend("native")
@@ -222,9 +227,32 @@ def available_tiers():
     return tiers
 
 
-def _drive_tier(model, points, backend, rounds=TIER_ROUNDS, batch=TIER_BATCH):
+def oracle_labeler(model):
+    """Batch labels from the dense LabelingIndex oracle: every point
+    scored against every representative, then the normalised argmax."""
+    index = LabelingIndex(model.labeling_sets, model.theta, model.f_theta)
+
+    def label(points):
+        counts = index.neighbor_counts(points)
+        labels = np.argmax(counts / index.normalisers, axis=1)
+        labels[~counts.any(axis=1)] = -1
+        return labels
+
+    return label
+
+
+def tier_labeler(model, tier):
+    """The batch-labeling callable timed for ``tier``."""
+    if tier == "oracle":
+        return oracle_labeler(model)
+    return AssignmentEngine(
+        model, assign_backend=tier, cache_size=0
+    ).assign_batch
+
+
+def _drive_tier(model, points, tier, rounds=TIER_ROUNDS, batch=TIER_BATCH):
     """Per-call latencies + total wall across ``rounds`` full passes."""
-    engine = AssignmentEngine(model, assign_backend=backend, cache_size=0)
+    label_batch = tier_labeler(model, tier)
     latencies = []
     labels = None
     start = time.perf_counter()
@@ -232,7 +260,7 @@ def _drive_tier(model, points, backend, rounds=TIER_ROUNDS, batch=TIER_BATCH):
         got = []
         for lo in range(0, len(points), batch):
             t0 = time.perf_counter()
-            part = engine.assign_batch(points[lo : lo + batch])
+            part = label_batch(points[lo : lo + batch])
             latencies.append(time.perf_counter() - t0)
             got.append(part)
         labels = [int(v) for part in got for v in part]
@@ -248,7 +276,7 @@ def test_assign_tiers(benchmark, save_result, save_manifest):
     from repro.obs import RunManifest, Tracer
 
     tracer = Tracer()
-    tiers = available_tiers()
+    tiers = ["oracle"] + available_tiers()
     rows = []
     results = []
     for n_clusters, vocab in TIER_CONFIGS:
@@ -267,32 +295,34 @@ def test_assign_tiers(benchmark, save_result, save_manifest):
                 "p50_ms": 1000 * _pctl(latencies, 50),
                 "p99_ms": 1000 * _pctl(latencies, 99),
             }
-        dense = per_tier["dense"]
+        oracle = per_tier["oracle"]
         for backend in tiers:
             r = per_tier[backend]
             # every tier is a pure optimisation, or it is wrong
-            assert r["labels"] == dense["labels"], (
+            assert r["labels"] == oracle["labels"], (
                 f"{backend} labels diverge at {n_clusters}x{vocab}"
             )
             rows.append([
                 str(n_clusters), f"{vocab:,}", backend,
                 f"{r['rps']:,.0f}",
                 f"{r['p50_ms']:.2f}", f"{r['p99_ms']:.2f}",
-                f"{r['rps'] / dense['rps']:.1f}x",
+                f"{r['rps'] / oracle['rps']:.1f}x",
             ])
             results.append({
                 "n_clusters": n_clusters, "vocab": vocab,
                 "backend": backend, "rps": r["rps"],
                 "p50_ms": r["p50_ms"], "p99_ms": r["p99_ms"],
             })
-        # the acceptance bar: pruning beats the dense matmul at every
+        # the acceptance bar: pruning beats the dense oracle at every
         # config in the grid (all sit at >= 100 clusters / >= 1k vocab)
-        assert per_tier["pruned"]["rps"] > dense["rps"], (
-            f"pruned lost to dense at {n_clusters} clusters / {vocab} vocab"
+        assert per_tier["pruned"]["rps"] > oracle["rps"], (
+            f"pruned lost to the oracle at {n_clusters} clusters / "
+            f"{vocab} vocab"
         )
         if "native" in per_tier:
-            assert per_tier["native"]["rps"] > dense["rps"], (
-                f"native lost to dense at {n_clusters} clusters / {vocab} vocab"
+            assert per_tier["native"]["rps"] > oracle["rps"], (
+                f"native lost to the oracle at {n_clusters} clusters / "
+                f"{vocab} vocab"
             )
 
     # pytest-benchmark stats: the pruned tier on the largest config
@@ -307,11 +337,12 @@ def test_assign_tiers(benchmark, save_result, save_manifest):
 
     text = format_table(
         ["clusters", "vocab", "tier", "points/sec",
-         "p50 ms", "p99 ms", "vs dense"],
+         "p50 ms", "p99 ms", "vs oracle"],
         rows,
         title=(
             f"Assignment tiers ({TIER_POINTS:,} points x {TIER_ROUNDS} "
-            f"rounds, batches of {TIER_BATCH}; 6 reps/cluster, theta=0.5)"
+            f"rounds, batches of {TIER_BATCH}; 6 reps/cluster, theta=0.5; "
+            f"oracle = dense LabelingIndex matmul)"
         ),
     )
     if "native" not in tiers:
@@ -335,22 +366,26 @@ def test_assign_tiers(benchmark, save_result, save_manifest):
 
 
 def test_assign_tiers_smoke(save_result):
-    """CI-sized: pruned (and native where probed) equal dense on a small
-    model and the engine wires the index through -- no throughput bars."""
+    """CI-sized: pruned (and native where probed) equal the dense oracle
+    on a small model and the engine wires the index through -- no
+    throughput bars."""
     model, pools = tier_model(20, 200, reps_per_cluster=4, items_per_rep=6)
     points = tier_points(pools, 200, 2_000)
     rows = []
     reference = None
-    for backend in available_tiers():
-        engine = AssignmentEngine(model, assign_backend=backend, cache_size=0)
-        assert engine.assign_backend == backend
-        assert (engine.fast_index is not None) == (backend != "dense")
+    for backend in ["oracle"] + available_tiers():
+        if backend != "oracle":
+            engine = AssignmentEngine(model, assign_backend=backend)
+            assert engine.assign_backend == backend
+            assert engine.fast_index is not None
+        label_batch = tier_labeler(model, backend)
+        label_batch(points[:64])  # warm-up: first-call imports and setup
         start = time.perf_counter()
-        labels = engine.assign_batch(points).tolist()
+        labels = label_batch(points).tolist()
         seconds = time.perf_counter() - start
         if reference is None:
             reference = labels
-        assert labels == reference, f"{backend} diverges from dense"
+        assert labels == reference, f"{backend} diverges from the oracle"
         rows.append([backend, f"{len(points) / seconds:,.0f}"])
     text = format_table(
         ["tier", "points/sec"], rows,

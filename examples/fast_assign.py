@@ -1,22 +1,24 @@
-"""Fast assignment: dense matmul vs candidate pruning vs native kernel.
+"""Fast assignment: the dense oracle vs candidate pruning vs native kernel.
 
-The dense serving path scores every point against *every*
-representative with one big indicator matmul.  But a point can only
-neighbor representatives it shares an item with, and real categorical
-points touch a handful of the vocabulary — so on deployment-shaped
-models (hundreds of clusters, thousands of vocabulary items) almost
-all of that work scores exact zeros.  ``assign_backend`` picks the
-tier:
+The reference labeler (``ClusterLabeler``, backed by a dense
+``LabelingIndex``) scores every point against *every* representative
+with one big indicator matmul.  But a point can only neighbor
+representatives it shares an item with, and real categorical points
+touch a handful of the vocabulary — so on deployment-shaped models
+(hundreds of clusters, thousands of vocabulary items) almost all of
+that work scores exact zeros.  The production path, an inverted index
+over the labeling sets, scores only candidates; ``assign_backend``
+picks its tier:
 
-* ``"dense"``  — the original blocked matmul;
 * ``"pruned"`` — inverted-index candidate gather + sparse scoring;
 * ``"native"`` — the fused ``assign_block`` kernel from ``repro.native``;
 * ``"auto"``   — native when available, else pruned (the default).
 
-All tiers are bit-identical to ``ClusterLabeler.assign`` (the
+Both tiers are bit-identical to ``ClusterLabeler.assign`` (the
 property tests in ``tests/test_assign_index.py`` prove it); this
-example shows the throughput gap and the ``serve.assign.backend``
-gauge that reports which tier a live engine resolved to.
+example shows the throughput gap to the dense oracle and the
+``serve.assign.backend`` gauge that reports which tier a live engine
+resolved to.
 
     python examples/fast_assign.py
 """
@@ -25,6 +27,9 @@ import random
 import time
 import warnings
 
+import numpy as np
+
+from repro.core.labeling import LabelingIndex
 from repro.data.transactions import Transaction
 from repro.serve import (
     AssignmentEngine,
@@ -82,7 +87,16 @@ def main() -> None:
     print(f"model: {model.n_clusters} clusters, {n_reps} representatives, "
           f"{VOCAB}-item vocabulary; stream of {len(points):,} points\n")
 
-    backends = ["dense", "pruned"]
+    # the dense oracle: all counts from one matmul, then the argmax
+    oracle = LabelingIndex(model.labeling_sets, model.theta, model.f_theta)
+    start = time.perf_counter()
+    counts = oracle.neighbor_counts(points)
+    reference = np.argmax(counts / oracle.normalisers, axis=1)
+    reference[~counts.any(axis=1)] = -1
+    oracle_rate = len(points) / (time.perf_counter() - start)
+    print(f"{'oracle':>6}: {oracle_rate:>10,.0f} points/sec  (dense matmul)")
+
+    backends = ["pruned"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         native_tier, _ = resolve_assign_backend("native")
@@ -90,10 +104,8 @@ def main() -> None:
         backends.append("native")
     else:
         print("repro.native has no assign kernel here -- "
-              "comparing dense vs pruned only\n")
+              "comparing the oracle vs pruned only")
 
-    reference = None
-    dense_rate = None
     for backend in backends:
         metrics = ServeMetrics()
         engine = AssignmentEngine(
@@ -104,9 +116,7 @@ def main() -> None:
         labels = engine.assign_batch(points)
         seconds = time.perf_counter() - start
 
-        if reference is None:
-            reference = labels
-        assert (labels == reference).all(), "tiers must agree bit-for-bit"
+        assert (labels == reference).all(), "tiers must match the oracle"
 
         gauges = metrics.registry.snapshot()["gauges"]
         active = [
@@ -115,10 +125,8 @@ def main() -> None:
             if key.startswith("serve.assign.backend.") and value
         ]
         rate = len(points) / seconds
-        if dense_rate is None:
-            dense_rate = rate
         print(f"{backend:>6}: {rate:>10,.0f} points/sec  "
-              f"({rate / dense_rate:4.1f}x dense)  gauge={active}")
+              f"({rate / oracle_rate:4.1f}x oracle)  gauge={active}")
 
     auto_tier, _ = resolve_assign_backend("auto")
     outliers = int((reference == -1).sum())

@@ -43,6 +43,7 @@ import time
 from pathlib import Path
 from typing import Any
 
+from repro.core.assign import ASSIGN_BACKENDS
 from repro.core.pipeline import RockPipeline
 from repro.core.plan import FIT_MODES
 from repro.core.similarity import MissingAwareJaccard
@@ -317,9 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     assign.add_argument("--chunk-size", type=int, default=2048)
     assign.add_argument(
         "--assign-backend",
-        choices=["auto", "dense", "pruned", "native"], default="auto",
-        help="scoring tier: dense matmul, inverted-index pruning, or the "
-        "native fused kernel (auto probes native, falls back to pruned)",
+        choices=ASSIGN_BACKENDS, default="auto",
+        help="scoring tier: inverted-index pruning or the native fused "
+        "kernel (auto probes native, falls back to pruned)",
     )
     assign.add_argument(
         "--show-metrics", action="store_true",
@@ -353,8 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-size", type=int, default=4096)
     serve.add_argument(
         "--assign-backend",
-        choices=["auto", "dense", "pruned", "native"], default="auto",
-        help="scoring tier for each model generation's engine",
+        choices=ASSIGN_BACKENDS, default="auto",
+        help="scoring tier for each model generation's engine (see "
+        "assign --assign-backend)",
     )
     serve.add_argument(
         "--poll-seconds", type=float, default=1.0,

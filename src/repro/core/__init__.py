@@ -31,7 +31,6 @@ from repro.core.goodness import (
 from repro.core.heaps import AddressableMaxHeap
 from repro.core.labeling import (
     ClusterLabeler,
-    LabelingIndex,
     compute_normalisers,
     draw_labeling_sets,
     labels_from_clusters,
@@ -91,7 +90,6 @@ __all__ = [
     "connected_components",
     "qrock",
     "ClusterLabeler",
-    "LabelingIndex",
     "compute_normalisers",
     "load_result",
     "similarity_from_dict",

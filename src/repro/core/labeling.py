@@ -13,10 +13,11 @@ the discovered clusters:
 A point with zero neighbors in every labeling set is an outlier and
 receives the label ``-1``.
 
-The scoring internals live in :class:`LabelingIndex` so that the batch
-assignment engine (:mod:`repro.serve.engine`) and the per-point
-:class:`ClusterLabeler` share one implementation of the vectorised
-Jaccard path.
+:class:`ClusterLabeler` is the per-point reference implementation of
+that rule -- the oracle the batch path is property-tested against, and
+the labeler for similarities the batch path cannot index.  Production
+labeling (the pipeline's label phase, the serving engine, the stream
+runner) runs the inverted index of :mod:`repro.core.assign`.
 """
 
 from __future__ import annotations
@@ -64,16 +65,17 @@ def compute_normalisers(
 
 
 class LabelingIndex:
-    """Precomputed indicator-matrix view of the labeling sets (Jaccard path).
+    """Dense indicator-matrix view of the labeling sets (the Jaccard oracle).
 
-    Streaming Jaccard against every representative is the hot loop of
-    the labeling scan; with all representatives encoded once into a
-    ``(total_reps, vocab)`` 0/1 matrix, a batch of ``B`` incoming points
-    costs one ``(B, vocab) @ (vocab, total_reps)`` product instead of
-    ``B * sum |L_i|`` set comparisons.  Only item-set-like points
-    (transactions, sets, categorical records) can be indexed; the
-    constructor raises ``TypeError`` otherwise, and callers fall back to
-    the scalar similarity path.
+    All representatives are encoded once into a ``(total_reps, vocab)``
+    0/1 matrix, so :meth:`neighbor_counts` scores a batch of ``B``
+    points with one ``(B, vocab) @ (vocab, total_reps)`` product.  It
+    backs :class:`ClusterLabeler`'s Jaccard path and is the dense
+    reference the inverted index of :mod:`repro.core.assign` is tested
+    against.  Only item-set-like points (transactions, sets,
+    categorical records) can be indexed; the constructor raises
+    ``TypeError`` otherwise, and the labeler falls back to the scalar
+    similarity path.
     """
 
     def __init__(
@@ -155,27 +157,6 @@ class LabelingIndex:
                 counts[:, c] = is_neighbor[:, a:b].sum(axis=1)
         return counts
 
-    def scores(self, points: Sequence[Any]) -> np.ndarray:
-        """Normalised assignment scores ``N_i / (|L_i| + 1)^f`` per point."""
-        return self.neighbor_counts(points) / self.normalisers
-
-    def assign(self, points: Sequence[Any], block_size: int = 8192) -> np.ndarray:
-        """Batch-assign; -1 for points with no neighbors in any ``L_i``.
-
-        Work proceeds in blocks so that a disk-scale batch never
-        materialises a ``(B, vocab)`` matrix larger than
-        ``block_size`` rows.
-        """
-        points = list(points)
-        labels = np.empty(len(points), dtype=np.int64)
-        for start in range(0, len(points), max(block_size, 1)):
-            block = points[start : start + block_size]
-            counts = self.neighbor_counts(block)
-            block_labels = np.argmax(counts / self.normalisers, axis=1)
-            block_labels[~counts.any(axis=1)] = -1
-            labels[start : start + block_size] = block_labels
-        return labels
-
 
 class ClusterLabeler:
     """Assigns points to clusters via normalised neighbor counts in L_i sets.
@@ -213,28 +194,20 @@ class ClusterLabeler:
         self.similarity = similarity if similarity is not None else JaccardSimilarity()
         self.f_theta = f(theta)
         self._normalisers = compute_normalisers(self.labeling_sets, self.f_theta)
-        self._index = (
-            self._build_index()
-            if isinstance(self.similarity, JaccardSimilarity)
-            else None
-        )
-
-    def _build_index(self) -> LabelingIndex | None:
-        try:
-            return LabelingIndex(self.labeling_sets, self.theta, self.f_theta)
-        except TypeError:
-            # representatives are not item-set-like: use the scalar path
-            return None
-
-    @property
-    def index(self) -> LabelingIndex | None:
-        """The vectorised index, when the similarity admits one."""
-        return self._index
+        # the dense Jaccard index, or None for the scalar similarity path
+        self.index: LabelingIndex | None = None
+        if isinstance(self.similarity, JaccardSimilarity):
+            try:
+                self.index = LabelingIndex(
+                    self.labeling_sets, self.theta, self.f_theta
+                )
+            except TypeError:
+                pass  # representatives are not item-set-like
 
     def neighbor_counts(self, point: Any) -> np.ndarray:
         """``N_i``: how many members of each ``L_i`` are neighbors of ``point``."""
-        if self._index is not None:
-            return self._index.neighbor_counts([point])[0]
+        if self.index is not None:
+            return self.index.neighbor_counts([point])[0]
         counts = np.zeros(len(self.labeling_sets), dtype=np.int64)
         for i, li in enumerate(self.labeling_sets):
             counts[i] = sum(

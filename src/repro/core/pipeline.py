@@ -19,6 +19,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.assign import build_assignment_index, resolve_assign_backend
 from repro.core.goodness import default_f, goodness as normalized_goodness
 from repro.core.labeling import (
     ClusterLabeler,
@@ -437,46 +438,68 @@ class RockPipeline:
 
         # -- 5. label remaining data ----------------------------------------
         labeled = label_remaining and len(sampled) < n_total
+        n_clusters = len(clusters_original)
         with tracer.span("label", enabled=labeled) as span:
-            labels = labels_from_clusters(clusters_original, n_total)
             labeling_sets: list[list[Any]] | None = None
             if labeled:
-                point_list = _as_list(points)
+                point_list = list(points)
+                # drawn in merge order, which fixes the rng draw sequence
                 labeling_sets = draw_labeling_sets(
                     clusters_original,
                     point_list,
                     fraction=self.labeling_fraction,
                     rng=rng,
                 )
-                labeler = ClusterLabeler(
-                    labeling_sets,
-                    theta=self.theta,
-                    similarity=self.similarity,
-                    f=self.f,
-                )
-                in_sample = set(sampled)
-                for index in range(n_total):
-                    if index in in_sample:
-                        continue
-                    labels[index] = labeler.assign(point_list[index])
-                registry.inc("fit.labeled_points", n_total - len(sampled))
+                todo = rest = np.setdiff1d(np.arange(n_total), sampled)
+                f_theta = self.f(self.theta)
+                tier, kernels = resolve_assign_backend("auto")
+            # label with clusters already in final (size) order, so ties
+            # break as in the saved model; relabel while tied points
+            # reorder the sizes.  Each round moves points only toward
+            # clusters sorted ahead, raising the sorted sizes' prefix
+            # sums, so the loop ends.
+            labels = labels_from_clusters(clusters_original, n_total)
+            order = _size_order(labels, n_clusters)
+            relabels = 0
+            while True:
+                rank = np.argsort(order)  # rank[c]: new position of c
+                if labeled and relabels:
+                    # a point can move only when its score ties with a
+                    # cluster that now sorts ahead of its own
+                    later = np.minimum.accumulate(rank[::-1])[::-1]
+                    overtaken = np.append(later[1:], n_clusters) < rank
+                    owners = labels[rest]
+                    todo = rest[(owners >= 0) & overtaken[owners]]
+                labels = np.where(labels >= 0, rank[labels], -1)
+                if labeled:
+                    labeling_sets = [labeling_sets[c] for c in order]
+                    fast_index = build_assignment_index(
+                        labeling_sets, self.theta, f_theta, self.similarity
+                    )
+                    todo_points = [point_list[i] for i in todo]
+                    if fast_index is not None:
+                        labels[todo] = fast_index.assign(
+                            todo_points, kernels=kernels
+                        )
+                    else:
+                        tier = "fallback"
+                        labels[todo] = ClusterLabeler(
+                            labeling_sets, self.theta, self.similarity, self.f
+                        ).assign_all(todo_points)
+                order = _size_order(labels, n_clusters)
+                if (order == np.arange(n_clusters)).all():
+                    break
+                relabels += 1
+            if labeled:
+                span.attrs.update(assign_backend=tier, relabel_rounds=relabels)
+                registry.inc("fit.labeled_points", len(rest))
+                registry.inc("fit.label.relabel_rounds", relabels)
         timings["label"] = span.wall_seconds
 
-        full_clusters: list[list[int]] = [[] for _ in clusters_original]
-        for index, label in enumerate(labels):
+        full_clusters: list[list[int]] = [[] for _ in range(n_clusters)]
+        for index, label in enumerate(labels.tolist()):
             if label >= 0:
                 full_clusters[label].append(index)
-        order = sorted(
-            range(len(full_clusters)),
-            key=lambda c: (-len(full_clusters[c]), full_clusters[c][0] if full_clusters[c] else -1),
-        )
-        remap = {old: new for new, old in enumerate(order)}
-        labels = np.array(
-            [remap[l] if l >= 0 else -1 for l in labels], dtype=np.int64
-        )
-        full_clusters = [full_clusters[old] for old in order]
-        if labeling_sets is not None:
-            labeling_sets = [labeling_sets[old] for old in order]
 
         registry.set_gauge("fit.n_clusters", len(full_clusters))
         registry.set_gauge("fit.n_unassigned", int((labels == -1).sum()))
@@ -564,5 +587,12 @@ def _map_initial_clusters(
     return mapped
 
 
-def _as_list(points: Any) -> list[Any]:
-    return list(points)
+def _size_order(labels: np.ndarray, n_clusters: int) -> np.ndarray:
+    """Cluster ids by decreasing size, ties by their smallest member."""
+    members = np.flatnonzero(labels >= 0)
+    owners = labels[members]
+    sizes = np.bincount(owners, minlength=n_clusters)
+    first = np.full(n_clusters, labels.size, dtype=np.int64)
+    np.minimum.at(first, owners, members)
+    return np.lexsort((first, -sizes))
+

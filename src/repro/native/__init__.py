@@ -11,7 +11,7 @@
   :func:`repro.core.merge.component_merge_stream`) on flat typed
   arrays with binary heaps instead of ``heapq`` tuples; and
 * the serving assignment hot loop (``assign_block``): candidate
-  gather over the :class:`repro.serve.index.AssignmentIndex` inverted
+  gather over the :class:`repro.core.assign.AssignmentIndex` inverted
   index, Jaccard threshold test and best-cluster argmax fused into
   one pass per query point.
 

@@ -20,7 +20,7 @@
  *   merge_component   <-> repro.core.merge.component_merge_stream
  *                         (same lazy-heap selection, same goodness
  *                         arithmetic and association, same heap_ops)
- *   assign_block      <-> repro.serve.index.AssignmentIndex
+ *   assign_block      <-> repro.core.assign.AssignmentIndex
  *                         .assign_with_scores (same candidate gather
  *                         over the inverted index, same float64
  *                         inter/union >= theta test, same first-max

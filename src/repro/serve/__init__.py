@@ -11,10 +11,10 @@ assignment.  This package is that second phase, productionised:
 * :class:`~repro.serve.engine.AssignmentEngine` -- vectorised batch
   assignment with an LRU cache, exactly equivalent to
   :class:`~repro.core.labeling.ClusterLabeler`;
-* :class:`~repro.serve.index.AssignmentIndex` -- the item ->
-  representative inverted index behind the ``pruned`` and ``native``
-  fast-assignment tiers (candidate-only scoring, bit-identical to the
-  dense matmul);
+* :class:`~repro.core.assign.AssignmentIndex` (re-exported here) --
+  the item -> representative inverted index behind the ``pruned`` and
+  ``native`` fast-assignment tiers, the one §4.6 batch labeling path
+  the fit pipeline uses too;
 * :func:`~repro.serve.parallel.assign_stream` -- chunked
   multiprocessing for disk-scale labeling runs, order-preserving;
 * :class:`~repro.serve.metrics.ServeMetrics` -- counters / histograms
@@ -39,7 +39,7 @@ Quickstart::
 """
 
 from repro.serve.engine import AssignmentEngine
-from repro.serve.index import AssignmentIndex, resolve_assign_backend
+from repro.core.assign import AssignmentIndex, resolve_assign_backend
 from repro.serve.metrics import ServeMetrics
 from repro.serve.model import MODEL_FORMAT, MODEL_VERSION, RockModel, model_from_result
 from repro.serve.parallel import assign_stream, default_workers

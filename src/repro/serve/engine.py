@@ -1,23 +1,21 @@
 """High-throughput batch assignment against a :class:`RockModel`.
 
 The per-point :class:`~repro.core.labeling.ClusterLabeler` pays Python
-overhead for every point: one encode, one matrix-vector product, one
-argmax.  :class:`AssignmentEngine` amortises that over whole batches --
-a ``(B, vocab)`` indicator matrix is scored against all representatives
-with a single matmul per block (the same vectorised-Jaccard trick the
-neighbor computation of :mod:`repro.core.neighbors` uses) -- and adds:
+overhead for every point.  :class:`AssignmentEngine` amortises that
+over whole batches through the model's
+:class:`~repro.core.assign.AssignmentIndex` (built once at engine
+construction), and adds:
 
 * an LRU cache keyed on the point's item set, so duplicate and repeated
   points (ubiquitous in categorical data, where the value space is
   small) skip scoring entirely;
-* a tiered fast path: the default ``pruned`` backend scores each point
-  only against candidate representatives gathered from the
-  :class:`~repro.serve.index.AssignmentIndex` inverted index (built
-  once at engine construction), and ``native`` fuses that gather with
-  the argmax in a :mod:`repro.native` kernel -- both bit-identical to
-  the dense matmul (``assign_backend="dense"``);
-* a pure-Python fallback for custom similarities, delegating per point
-  to the scalar :class:`ClusterLabeler` path;
+* a tiered fast path: the ``pruned`` backend scores each point only
+  against candidate representatives gathered from the inverted index,
+  and ``native`` fuses that gather with the argmax in a
+  :mod:`repro.native` kernel;
+* a pure-Python fallback for labelings the index cannot take (custom
+  similarities), delegating per point to the scalar
+  :class:`ClusterLabeler` -- the only case that builds one;
 * metrics (requests, outlier rate, cache hit rate, latency) recorded on
   a shared :class:`~repro.serve.metrics.ServeMetrics`, plus one
   ``serve.assign.backend.<tier>`` gauge marking the active tier.
@@ -37,13 +35,13 @@ from typing import Any
 import numpy as np
 
 from repro.core.similarity import _as_item_set
-from repro.serve.index import AssignmentIndex, resolve_assign_backend
+from repro.core.assign import AssignmentIndex, resolve_assign_backend
 from repro.serve.metrics import ServeMetrics
 from repro.serve.model import RockModel
 
 # every value engine.assign_backend can take; "fallback" marks the
 # scalar custom-similarity path where no index exists at all
-BACKEND_TIERS = ("dense", "pruned", "native", "fallback")
+BACKEND_TIERS = ("pruned", "native", "fallback")
 
 
 class AssignmentEngine:
@@ -62,8 +60,8 @@ class AssignmentEngine:
         Rows per scoring block, bounding peak memory for huge batches.
     assign_backend:
         ``"auto"`` (default: native when a tier passes its probe,
-        else pruned), ``"dense"``, ``"pruned"`` or ``"native"``.  Ignored
-        (scalar fallback) when the model's similarity admits no index.
+        else pruned), ``"pruned"`` or ``"native"``.  Ignored (scalar
+        fallback) when the model's labeling admits no index.
     prebuilt_index:
         An :class:`AssignmentIndex` built elsewhere for this model --
         the stream-worker path ships one through the pool payload so
@@ -86,29 +84,19 @@ class AssignmentEngine:
         self.model = model
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self.block_size = block_size
-        self._labeler = model.labeler()
-        # the vectorised index exists exactly when the labeler's own
-        # fast path does (plain Jaccard over item-set-like points)
-        self._index = self._labeler.index
         backend, kernels = resolve_assign_backend(assign_backend)
-        self._fast_index: AssignmentIndex | None = None
-        self._kernels: Any | None = None
-        if self._index is None:
-            backend = "fallback"
-        elif backend == "dense":
-            pass
-        else:
-            self._fast_index = (
-                prebuilt_index
-                if prebuilt_index is not None
-                else AssignmentIndex(self._index)
-            )
-            self._kernels = kernels  # None on the pruned tier
-        self._backend = backend
+        self._index = (
+            prebuilt_index
+            if prebuilt_index is not None
+            else model.assignment_index()
+        )
+        self._kernels = kernels  # None on the pruned tier
+        self._labeler = model.labeler() if self._index is None else None
+        self._backend = backend if self._index is not None else "fallback"
         registry = self.metrics.registry
         for tier in BACKEND_TIERS:
             registry.set_gauge(
-                f"serve.assign.backend.{tier}", int(tier == backend)
+                f"serve.assign.backend.{tier}", int(tier == self._backend)
             )
         self._cache: OrderedDict[Any, int] = OrderedDict()
         self._cache_size = cache_size
@@ -119,18 +107,18 @@ class AssignmentEngine:
 
     @property
     def vectorized(self) -> bool:
-        """Whether the batch matmul path is active (vs the scalar fallback)."""
+        """Whether the batch index path is active (vs the scalar fallback)."""
         return self._index is not None
 
     @property
     def assign_backend(self) -> str:
-        """The resolved scoring tier: dense / pruned / native / fallback."""
+        """The resolved scoring tier: pruned / native / fallback."""
         return self._backend
 
     @property
     def fast_index(self) -> AssignmentIndex | None:
-        """The inverted index (``None`` on the dense and fallback tiers)."""
-        return self._fast_index
+        """The inverted index (``None`` on the fallback tier)."""
+        return self._index
 
     @property
     def n_clusters(self) -> int:
@@ -234,15 +222,12 @@ class AssignmentEngine:
     # -- internals ----------------------------------------------------------
 
     def _assign_uncached(self, points: list[Any]) -> np.ndarray:
-        if self._fast_index is not None:
-            return self._fast_index.assign(
+        if self._index is not None:
+            return self._index.assign(
                 points, block_size=self.block_size, kernels=self._kernels
             )
-        if self._index is not None:
-            return self._index.assign(points, block_size=self.block_size)
-        return np.array(
-            [self._labeler.assign(p) for p in points], dtype=np.int64
-        )
+        assert self._labeler is not None
+        return self._labeler.assign_all(points)
 
     def _cache_key(self, point: Any) -> Any | None:
         try:

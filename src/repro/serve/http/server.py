@@ -139,7 +139,7 @@ class RockHttpServer:
         LRU size for each model generation's engine.
     assign_backend:
         Scoring tier for each generation's engine (``"auto"``,
-        ``"dense"``, ``"pruned"`` or ``"native"``); the reload watcher
+        ``"pruned"`` or ``"native"``); the reload watcher
         rebuilds the fast index once per model generation.
     poll_seconds:
         Artifact poll interval for hot reload.

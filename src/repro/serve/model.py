@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, TextIO
 
+from repro.core.assign import AssignmentIndex, build_assignment_index
 from repro.core.goodness import default_f
 from repro.core.labeling import ClusterLabeler, draw_labeling_sets
 from repro.core.similarity import (
@@ -139,6 +140,12 @@ class RockModel:
             theta=self.theta,
             similarity=self.similarity,
             f=lambda _theta: self.f_theta,
+        )
+
+    def assignment_index(self) -> AssignmentIndex | None:
+        """The batch index for this model; ``None`` means use :meth:`labeler`."""
+        return build_assignment_index(
+            self.labeling_sets, self.theta, self.f_theta, self.similarity
         )
 
     # -- JSON round-trip ----------------------------------------------------

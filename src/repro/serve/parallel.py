@@ -4,7 +4,7 @@ The §4.6 labeling scan is embarrassingly parallel: every point is
 scored independently against the same frozen model.  This module
 shards an input stream into chunks, ships the *model* (as its JSON
 dict -- cheap, a few KB) plus the caller's prebuilt
-:class:`~repro.serve.index.AssignmentIndex` (pure numpy arrays, so it
+:class:`~repro.core.assign.AssignmentIndex` (pure numpy arrays, so it
 pickles; each worker skips the index build) to each worker once via
 the pool initializer, and assigns chunks with a per-worker
 :class:`AssignmentEngine`.
@@ -30,6 +30,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.assign import resolve_assign_backend
 from repro.parallel.pool import default_workers, imap_chunked, iter_chunks
 from repro.serve.engine import AssignmentEngine
 from repro.serve.metrics import ServeMetrics
@@ -111,10 +112,10 @@ def assign_stream(
         Scoring tier for the per-worker engines (see
         :class:`AssignmentEngine`).
     prebuilt_index:
-        An :class:`~repro.serve.index.AssignmentIndex` already built
+        An :class:`~repro.core.assign.AssignmentIndex` already built
         for this model; shipped to every worker through the pool
         payload so none of them rebuilds it.  Built here once when
-        omitted (and the tier needs one).
+        omitted (and the model's labeling is indexable).
 
     Returns
     -------
@@ -146,12 +147,11 @@ def assign_stream(
             metrics.observe_latency("assign_stream", time.perf_counter() - start)
         return labels
 
+    # reject a bad backend name here, not inside every worker
+    resolve_assign_backend(assign_backend)
     if prebuilt_index is None:
-        # build the index once here rather than once per worker; a
-        # throwaway engine resolves the tier exactly as workers will
-        prebuilt_index = AssignmentEngine(
-            model, cache_size=0, assign_backend=assign_backend
-        ).fast_index
+        # build the index once here rather than once per worker
+        prebuilt_index = model.assignment_index()
 
     # per-chunk label arrays, concatenated once at the end -- a stream
     # of millions of points must not be re-boxed into Python ints

@@ -38,8 +38,7 @@ class ClusteringService:
         Optional shared sink; a private one is created when omitted.
     assign_backend:
         Scoring tier for the embedded engine (and for parallel stream
-        workers): ``"auto"``, ``"dense"``, ``"pruned"`` or
-        ``"native"``.
+        workers): ``"auto"``, ``"pruned"`` or ``"native"``.
     """
 
     def __init__(

@@ -37,10 +37,10 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.assign import AssignmentIndex, resolve_assign_backend
 from repro.core.labeling import ClusterLabeler
 from repro.core.pipeline import PipelineResult, RockPipeline
 from repro.obs.trace import Tracer
-from repro.serve.index import AssignmentIndex, resolve_assign_backend
 from repro.serve.model import CHECKSUM_KEY, RockModel, artifact_checksum
 from repro.stream.drift import DriftDetector
 from repro.stream.reservoir import OnlineReservoir
@@ -147,8 +147,9 @@ class StreamClusterer:
         Reservoir rng seed (the pipeline's own seed governs the fits).
     assign_backend:
         Scoring tier for the labeling hot loop (``"auto"``,
-        ``"dense"``, ``"pruned"`` or ``"native"``); the fast index is
-        rebuilt once per refit, alongside the labeler.
+        ``"pruned"`` or ``"native"``); the index is rebuilt once per
+        refit.  A model whose labeling cannot be indexed labels
+        through the scalar :class:`ClusterLabeler` instead.
     tracer:
         Spans + metrics sink; refits record ``stream.refit`` spans and
         the ``stream.*`` counter family lands in ``tracer.registry``.
@@ -212,9 +213,7 @@ class StreamClusterer:
         self.version: str | None = None
         self.last_result: PipelineResult | None = None
         self._labeler: ClusterLabeler | None = None
-        self._assign_backend, self._assign_kernels = resolve_assign_backend(
-            assign_backend
-        )
+        _, self._assign_kernels = resolve_assign_backend(assign_backend)
         self._fast_index: AssignmentIndex | None = None
         self._arrivals_at_last_fit = 0
         self._refit_count = 0
@@ -300,31 +299,19 @@ class StreamClusterer:
 
     def _label_batch(self, batch: list[Any]) -> tuple[np.ndarray, np.ndarray]:
         """Label one batch against the current model: ``(labels, best scores)``."""
-        labeler = self._labeler
-        assert labeler is not None
         if self._fast_index is not None:
             return self._fast_index.assign_with_scores(
                 batch, kernels=self._assign_kernels
             )
-        index = labeler.index
-        if index is not None:
-            counts = index.neighbor_counts(batch)
-            all_scores = counts / index.normalisers
-            labels = np.argmax(all_scores, axis=1)
-            best = all_scores[np.arange(len(batch)), labels]
-            outliers = ~counts.any(axis=1)
-            labels[outliers] = -1
-            best[outliers] = 0.0
-            return labels.astype(np.int64), best
-        labels = np.empty(len(batch), dtype=np.int64)
+        labeler = self._labeler
+        assert labeler is not None
+        labels = np.full(len(batch), -1, dtype=np.int64)
         best = np.zeros(len(batch), dtype=np.float64)
         for i, point in enumerate(batch):
             scores = labeler.scores(point)
             if labeler.neighbor_counts(point).any():
                 labels[i] = int(np.argmax(scores))
                 best[i] = float(scores[labels[i]])
-            else:
-                labels[i] = -1
         return labels, best
 
     def _starting_partition(self, sample: list[Any]) -> list[list[int]] | None:
@@ -334,7 +321,7 @@ class StreamClusterer:
         turns them into singletons -- so a resume never glues unrelated
         points together just because both were unassignable.
         """
-        if self.refit_mode != "resume" or self._labeler is None:
+        if self.refit_mode != "resume" or self.model is None:
             return None
         labels, _ = self._label_batch(sample)
         groups: dict[int, list[int]] = {}
@@ -370,14 +357,12 @@ class StreamClusterer:
         self.model = model
         self.version = version
         self.last_result = result
-        self._labeler = model.labeler()
         # one index build per refit, reused by every labeled batch (and
-        # the next refit's resume partition) until the model changes
-        self._fast_index = (
-            AssignmentIndex(self._labeler.index)
-            if self._labeler.index is not None
-            and self._assign_backend != "dense"
-            else None
+        # the next refit's resume partition) until the model changes;
+        # the scalar labeler exists only for labelings it cannot take
+        self._fast_index = model.assignment_index()
+        self._labeler = (
+            model.labeler() if self._fast_index is None else None
         )
         self._arrivals_at_last_fit = self.reservoir.seen
         self._refit_count += 1

@@ -1,11 +1,12 @@
-"""AssignmentIndex tiers vs the dense LabelingIndex -- bitwise equivalence.
+"""AssignmentIndex tiers vs the LabelingIndex oracle -- bitwise equivalence.
 
-The inverted-index fast path (:mod:`repro.serve.index`) is only
-admissible as a pure optimisation: for every input, every tier --
-``pruned`` (scipy or numpy candidate gather) and ``native`` (the fused
-``assign_block`` kernel) -- must produce the same labels *and* the same
-winning scores, bit for bit, as the dense matmul of
-:class:`~repro.core.labeling.LabelingIndex`.  The hypothesis properties
+The inverted index (:mod:`repro.core.assign`) is the production §4.6
+labeling path, admissible only as a pure optimisation: for every input,
+every tier -- ``pruned`` (scipy or numpy candidate gather) and
+``native`` (the fused ``assign_block`` kernel) -- must produce the same
+labels *and* the same winning scores, bit for bit, as the dense neighbor
+counts of :class:`~repro.core.labeling.LabelingIndex` (the oracle behind
+:class:`~repro.core.labeling.ClusterLabeler`).  The hypothesis properties
 drive random labeling sets (including empty clusters and empty
 representative sets), random points (including empty item sets and
 points with zero vocabulary overlap), every interesting theta --
@@ -25,6 +26,8 @@ from repro.core.labeling import ClusterLabeler, LabelingIndex
 from repro.data.records import MISSING, CategoricalRecord, CategoricalSchema
 from repro.data.transactions import Transaction
 from repro.native import _BACKEND_NAMES, get_kernels
+from repro.core.assign import build_assignment_index
+from repro.core.similarity import JaccardSimilarity, SimilarityTable
 from repro.serve import (
     AssignmentEngine,
     AssignmentIndex,
@@ -52,11 +55,12 @@ def make_model(labeling_sets, theta=0.4, **kwargs):
     )
 
 
-def dense_assign_with_scores(index: LabelingIndex, points):
-    """The dense reference for ``(labels, best scores)``.
+def oracle_assign_with_scores(index: LabelingIndex, points):
+    """The oracle's ``(labels, best scores)`` from its dense neighbor counts.
 
-    Mirrors ``StreamClusterer._label_batch``'s dense branch exactly --
-    the contract the fast tiers must reproduce bit for bit.
+    Normalised argmax with the lowest-index tie-break, ``-1`` and score
+    ``0.0`` for points without neighbors -- the contract the fast tiers
+    must reproduce bit for bit.
     """
     counts = index.neighbor_counts(points)
     all_scores = counts / index.normalisers
@@ -100,16 +104,15 @@ class TestTierEquivalence:
         labeling_sets = [[Transaction(s) for s in li] for li in sets]
         batch = [Transaction(p) for p in points]
         f_theta = (1 - theta) / (1 + theta)
-        dense = LabelingIndex(labeling_sets, theta, f_theta)
-        fast = AssignmentIndex(dense)
+        oracle = LabelingIndex(labeling_sets, theta, f_theta)
+        fast = AssignmentIndex(labeling_sets, theta, f_theta)
 
         # neighbor counts agree exactly (integers, so plain equality)
         assert np.array_equal(
-            dense.neighbor_counts(batch), fast.neighbor_counts(batch)
+            oracle.neighbor_counts(batch), fast.neighbor_counts(batch)
         )
 
-        ref_labels, ref_best = dense_assign_with_scores(dense, batch)
-        assert np.array_equal(dense.assign(batch), ref_labels)
+        ref_labels, ref_best = oracle_assign_with_scores(oracle, batch)
 
         # pruned tier
         labels, best = fast.assign_with_scores(batch, block_size=block_size)
@@ -158,11 +161,11 @@ class TestTierEquivalence:
         if all(len(li) == 0 for li in labeling_sets):
             return
         f_theta = (1 - theta) / (1 + theta)
-        dense = LabelingIndex(labeling_sets, theta, f_theta)
-        fast = AssignmentIndex(dense)
+        oracle = LabelingIndex(labeling_sets, theta, f_theta)
+        fast = AssignmentIndex(labeling_sets, theta, f_theta)
         # query with the records themselves plus an all-missing one
         batch = records + [CategoricalRecord(schema, [MISSING] * 3)]
-        ref_labels, ref_best = dense_assign_with_scores(dense, batch)
+        ref_labels, ref_best = oracle_assign_with_scores(oracle, batch)
         labels, best = fast.assign_with_scores(batch)
         assert_bitwise_equal(ref_labels, ref_best, labels, best)
         for kernels in ASSIGN_KERNELS:
@@ -171,10 +174,9 @@ class TestTierEquivalence:
 
     def test_outlier_short_circuit(self):
         """Zero-overlap points label -1 without touching any arithmetic."""
-        dense = LabelingIndex(
+        fast = AssignmentIndex(
             [[Transaction({1, 2})], [Transaction({3, 4})]], 0.5, 0.4
         )
-        fast = AssignmentIndex(dense)
         batch = [Transaction({99, 100}), Transaction(set()), Transaction({1, 2})]
         labels, best = fast.assign_with_scores(batch)
         assert labels.tolist() == [-1, -1, 0]
@@ -182,8 +184,7 @@ class TestTierEquivalence:
         assert best[2] > 0.0
 
     def test_empty_batch_every_tier(self):
-        dense = LabelingIndex([[Transaction({1})]], 0.5, 0.4)
-        fast = AssignmentIndex(dense)
+        fast = AssignmentIndex([[Transaction({1})]], 0.5, 0.4)
         assert fast.assign([]).shape == (0,)
         for kernels in ASSIGN_KERNELS:
             labels, best = fast.assign_with_scores([], kernels=kernels)
@@ -191,19 +192,69 @@ class TestTierEquivalence:
 
     def test_pickle_roundtrip_preserves_assignments(self):
         """The index ships through pool payloads; behaviour must survive."""
-        dense = LabelingIndex(
+        fast = AssignmentIndex(
             [[Transaction({1, 2, 3}), Transaction({2, 3, 4})],
              [Transaction({7, 8})]],
             0.4,
             0.4,
         )
-        fast = AssignmentIndex(dense)
         batch = [Transaction({1, 2}), Transaction({7, 8}), Transaction({50})]
         before = fast.assign_with_scores(batch)
         clone = pickle.loads(pickle.dumps(fast))
         assert clone._rep_t is None  # the scipy handle never travels
         after = clone.assign_with_scores(batch)
         assert_bitwise_equal(before[0], before[1], after[0], after[1])
+
+    def test_block_size_must_be_positive(self):
+        """Regression: ``block_size < 1`` returned uninitialised labels."""
+        fast = AssignmentIndex([[Transaction({1, 2})]], 0.4, 0.4)
+        batch = [Transaction({1, 2}), Transaction({1}), Transaction({9})]
+        for block_size in (0, -1):
+            with pytest.raises(ValueError, match="block_size"):
+                fast.assign(batch, block_size=block_size)
+            with pytest.raises(ValueError, match="block_size"):
+                fast.assign_with_scores(batch, block_size=block_size)
+
+    def test_posting_lists_match_the_oracle_matrix(self):
+        """Posting lists built from the sets equal the oracle's matrix
+        columns, in ascending representative order."""
+        labeling_sets = [
+            [Transaction({"a", "b"}), Transaction({"b", "c"})],
+            [],
+            [Transaction({"c"}), Transaction(set()), Transaction({"a", "d"})],
+        ]
+        oracle = LabelingIndex(labeling_sets, 0.3, 0.5)
+        fast = AssignmentIndex(labeling_sets, 0.3, 0.5)
+        assert fast.vocabulary == oracle.vocabulary
+        assert fast.rep_sizes.tolist() == oracle.rep_sizes.tolist()
+        assert fast.normalisers.tobytes() == oracle.normalisers.tobytes()
+        assert fast.rep_cluster.tolist() == [0, 0, 2, 2, 2]
+        assert fast.cluster_rep_counts.tolist() == [2, 0, 3]
+        for column in range(oracle.rep_matrix.shape[1]):
+            posting = fast.inv_reps[
+                fast.inv_indptr[column] : fast.inv_indptr[column + 1]
+            ]
+            expected = np.flatnonzero(oracle.rep_matrix[:, column])
+            assert posting.tolist() == expected.tolist()
+
+
+class TestIndexability:
+    def test_jaccard_item_sets_are_indexable(self):
+        sets = [[Transaction({1, 2})], [frozenset({3})]]
+        for similarity in (None, JaccardSimilarity()):
+            index = build_assignment_index(sets, 0.5, 0.4, similarity)
+            assert isinstance(index, AssignmentIndex)
+
+    def test_other_similarities_are_not(self):
+        table = SimilarityTable({("p", "a1"): 0.9})
+        assert build_assignment_index([["a1"]], 0.5, 0.4, table) is None
+        scalar = lambda a, b: JaccardSimilarity()(a, b)  # noqa: E731
+        assert build_assignment_index(
+            [[Transaction({1})]], 0.5, 0.4, scalar
+        ) is None
+
+    def test_non_item_set_representatives_are_not(self):
+        assert build_assignment_index([[[0.1, 0.9]]], 0.5, 0.4) is None
 
 
 # -- backend resolution and engine wiring -------------------------------------
@@ -217,8 +268,14 @@ class TestBackendResolution:
         with pytest.raises(ValueError, match="unknown assign backend"):
             resolve_assign_backend("turbo")
 
-    def test_dense_and_pruned_never_probe(self):
-        assert resolve_assign_backend("dense") == ("dense", None)
+    def test_pruned_never_probes(self, monkeypatch):
+        import repro.native
+
+        def probe(*_args):
+            raise AssertionError("pruned must not probe the native tier")
+
+        monkeypatch.setattr(repro.native, "get_kernels", probe)
+        monkeypatch.setattr(repro.native, "auto_native", probe)
         assert resolve_assign_backend("pruned") == ("pruned", None)
 
     def test_auto_resolves_to_fast_tier(self):
@@ -246,7 +303,7 @@ class TestBackendResolution:
 
 class TestEngineBackends:
     def engine_backends(self):
-        backends = ["dense", "pruned"]
+        backends = ["pruned"]
         if ASSIGN_KERNELS:
             backends.append("native")
         return backends
@@ -272,13 +329,10 @@ class TestEngineBackends:
         )
         gauges = engine.metrics.registry.snapshot()["gauges"]
         assert gauges["serve.assign.backend.pruned"] == 1
-        assert gauges["serve.assign.backend.dense"] == 0
         assert gauges["serve.assign.backend.native"] == 0
         assert gauges["serve.assign.backend.fallback"] == 0
 
     def test_fallback_tier_for_custom_similarity(self):
-        from repro.core.similarity import SimilarityTable
-
         table = SimilarityTable({("p", "a1"): 0.9})
         model = make_model([["a1"], ["b1"]], theta=0.5, similarity=table)
         engine = AssignmentEngine(model, assign_backend="auto")
@@ -287,12 +341,19 @@ class TestEngineBackends:
         gauges = engine.metrics.registry.snapshot()["gauges"]
         assert gauges["serve.assign.backend.fallback"] == 1
 
-    def test_dense_backend_builds_no_index(self):
-        engine = AssignmentEngine(
-            make_model([CLUSTER_A, CLUSTER_B]), assign_backend="dense"
-        )
-        assert engine.fast_index is None
-        assert engine.assign_backend == "dense"
+    def test_indexed_engine_builds_no_labeler(self, monkeypatch):
+        """The scalar labeler is built only for the fallback tier."""
+        model = make_model([CLUSTER_A, CLUSTER_B])
+
+        def no_labeler(_model):
+            raise AssertionError("an indexable model built a labeler")
+
+        monkeypatch.setattr(RockModel, "labeler", no_labeler)
+        engine = AssignmentEngine(model, assign_backend="pruned")
+        assert engine.fast_index is not None
+        assert engine.assign_batch(
+            [Transaction({1, 2}), Transaction({7, 8}), Transaction({42})]
+        ).tolist() == [0, 1, -1]
 
     def test_prebuilt_index_is_reused(self):
         model = make_model([CLUSTER_A, CLUSTER_B])
@@ -313,13 +374,12 @@ class TestEngineBackends:
         labeling_sets = [[Transaction(s) for s in li] for li in sets]
         model = make_model(labeling_sets, theta=theta)
         batch = [Transaction(p) for p in points]
+        oracle = LabelingIndex(labeling_sets, theta, model.f_theta)
+        expected = oracle_assign_with_scores(oracle, batch)[0].tolist()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            results = {
-                backend: AssignmentEngine(
+            for backend in ("pruned", "native"):
+                engine = AssignmentEngine(
                     model, assign_backend=backend, cache_size=0
-                ).assign_batch(batch).tolist()
-                for backend in ("dense", "pruned", "native")
-            }
-        assert results["pruned"] == results["dense"]
-        assert results["native"] == results["dense"]
+                )
+                assert engine.assign_batch(batch).tolist() == expected

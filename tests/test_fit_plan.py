@@ -17,7 +17,9 @@ engine of every fit.  These tests pin
   ``RockPipeline.fit()`` resolve the same plan, and each is
   byte-identical to its ``REPRO_NATIVE=0`` run and to ``fit_mode=
   "dense"`` (clusters, labels and the merge history with bitwise
-  goodness floats), within and over the memory budget.
+  goodness floats), within and over the memory budget, and -- when a
+  sample leaves points to label -- every labeled point carries the
+  label the saved model's per-point labeler gives it.
 """
 
 import contextlib
@@ -456,6 +458,11 @@ def fit_configs(draw):
         "weighted_links": draw(st.booleans()),
         "goodness_fn": draw(st.sampled_from([None, custom_goodness])),
         "memory_budget": draw(st.sampled_from([None, 1])),
+        # a sample smaller than the input makes the pipeline label the
+        # rest through §4.6 (the Overlap draw takes the scalar labeler)
+        "sample_size": draw(st.one_of(
+            st.none(), st.integers(min_value=1, max_value=len(points) - 1)
+        )),
     }
 
 
@@ -505,6 +512,7 @@ def test_default_plans_agree_and_match_opt_out(config):
     min_neighbors = config["min_neighbors"]
     weighted = config["weighted_links"]
     budget = config["memory_budget"]
+    sample_size = config["sample_size"]
     goodness_kw = (
         {} if config["goodness_fn"] is None
         else {"goodness_fn": config["goodness_fn"]}
@@ -518,18 +526,21 @@ def test_default_plans_agree_and_match_opt_out(config):
     def run_pipeline(fit_mode="auto"):
         return RockPipeline(k=k, theta=theta, similarity=similarity,
                             min_neighbors=min_neighbors, seed=0,
+                            sample_size=sample_size,
                             memory_budget=budget, fit_mode=fit_mode,
-                            **goodness_kw).fit(points)
+                            **goodness_kw)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # auto (and the dense pin) never warn
         rock_result, rock_plan = outcome(run_rock)
-        pipe_result, pipe_plan = outcome(run_pipeline)
+        pipe_result, pipe_plan = outcome(lambda: run_pipeline().fit(points))
         rock_dense, _ = outcome(lambda: run_rock("dense"))
-        pipe_dense, _ = outcome(lambda: run_pipeline("dense"))
+        pipe_dense, _ = outcome(lambda: run_pipeline("dense").fit(points))
         with native_disabled():
             rock_ref, rock_ref_plan = outcome(run_rock)
-            pipe_ref, pipe_ref_plan = outcome(run_pipeline)
+            pipe_ref, pipe_ref_plan = outcome(
+                lambda: run_pipeline().fit(points)
+            )
 
     # both entry points consume the same resolver ...
     expected = resolve_fit_plan(
@@ -563,3 +574,12 @@ def test_default_plans_agree_and_match_opt_out(config):
             assert result == ref
         else:
             assert pipeline_view(result) == pipeline_view(ref)
+
+    # the labeled points carry exactly the saved model's labels, ties
+    # included: the §4.6 batch path agrees with the per-point oracle
+    if pipe_plan is not None and pipe_result.labeling_sets is not None:
+        labeler = run_pipeline().to_model(pipe_result).labeler()
+        sampled = set(pipe_result.sample_indices)
+        for i, point in enumerate(points):
+            if i not in sampled:
+                assert pipe_result.labels[i] == labeler.assign(point)

@@ -96,6 +96,43 @@ class TestFitTimingsPersisted:
         )
 
 
+class TestLabelSpan:
+    """The ``label`` span names the §4.6 tier that labeled the rest."""
+
+    def label_span(self, points, **kwargs):
+        tracer = Tracer()
+        RockPipeline(k=4, theta=0.5, sample_size=150, seed=0, **kwargs).fit(
+            points, tracer=tracer
+        )
+        span = next(
+            c for c in tracer.spans()[0].children if c.name == "label"
+        )
+        return span, tracer.registry.snapshot()["counters"]
+
+    def test_indexable_labeling_records_the_auto_tier(self, basket):
+        from repro.core.assign import resolve_assign_backend
+
+        span, counters = self.label_span(basket.transactions)
+        assert span.attrs["assign_backend"] == resolve_assign_backend()[0]
+        assert span.attrs["relabel_rounds"] >= 0
+        assert counters["fit.label.relabel_rounds"] == (
+            span.attrs["relabel_rounds"]
+        )
+
+    def test_opt_out_labels_on_the_pruned_tier(self, basket, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        span, _ = self.label_span(basket.transactions)
+        assert span.attrs["assign_backend"] == "pruned"
+
+    def test_other_similarities_take_the_scalar_fallback(self, basket):
+        from repro.core.similarity import OverlapSimilarity
+
+        span, _ = self.label_span(
+            basket.transactions, similarity=OverlapSimilarity()
+        )
+        assert span.attrs["assign_backend"] == "fallback"
+
+
 class TestUntracedFitUnchanged:
     def test_fit_without_tracer_still_times_phases(self, basket):
         pipeline = RockPipeline(k=4, theta=0.5, sample_size=None, seed=0)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 
 import numpy as np
 import pytest
@@ -131,14 +132,32 @@ class TestRoundTrip:
 
 class TestPipelineBridge:
     def test_fit_model_reproduces_labels_on_held_out(self, dataset):
-        pipeline = RockPipeline(k=2, theta=0.4, sample_size=40, seed=0)
-        result, model = pipeline.fit_model(dataset)
-        in_sample = set(result.sample_indices)
-        held_out = [i for i in range(len(dataset)) if i not in in_sample]
-        assert held_out  # the split is real
-        engine = AssignmentEngine(model)
-        labels = engine.assign_batch([dataset[i] for i in held_out])
-        assert np.array_equal(labels, result.labels[held_out])
+        # the second input holds points whose best scores tie across
+        # clusters (regression: point 9, {5}, was labeled 2 by the run
+        # but 1 by the model, because the run broke the tie in the
+        # pre-sort cluster order)
+        rng = random.Random(18)
+        n = rng.randint(20, 60)
+        tied = [
+            Transaction(sorted(rng.sample(range(8), rng.randint(1, 4))))
+            for _ in range(n)
+        ]
+        k, theta = rng.randint(2, 4), rng.choice([0.2, 0.3, 0.5])
+        cases = [
+            (dataset, RockPipeline(k=2, theta=0.4, sample_size=40, seed=0)),
+            (tied, RockPipeline(k, theta, sample_size=n // 2, seed=18)),
+        ]
+        for points, pipeline in cases:
+            result, model = pipeline.fit_model(points)
+            in_sample = set(result.sample_indices)
+            held_out = [i for i in range(len(points)) if i not in in_sample]
+            assert held_out  # the split is real
+            engine = AssignmentEngine(model)
+            labels = engine.assign_batch([points[i] for i in held_out])
+            assert np.array_equal(labels, result.labels[held_out])
+            labeler = model.labeler()
+            assert [labeler.assign(points[i]) for i in held_out] == \
+                result.labels[held_out].tolist()
 
     def test_fit_model_survives_json_round_trip(self, dataset, tmp_path):
         pipeline = RockPipeline(k=2, theta=0.4, sample_size=40, seed=0)
