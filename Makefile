@@ -14,12 +14,14 @@ lint:
 
 # run the fit and assignment examples end to end (lint alone would not
 # catch an example calling a fit mode, assign tier or option that no
-# longer exists)
+# longer exists); choose_k builds its link table through compute_links,
+# so the LinkTable API runs here too (merge_engine.py stays out: ~30 s)
 examples-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/quickstart.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/parallel_fit.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/trace_fit.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/shard_fit.py
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/choose_k.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/fast_assign.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/serve_assign.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/stream_cluster.py

@@ -47,6 +47,30 @@ def dataset_to_transactions(dataset: CategoricalDataset) -> TransactionDataset:
     return TransactionDataset([record_to_transaction(r) for r in dataset])
 
 
+def transaction_csr(dataset: TransactionDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Each transaction's item columns as int64 CSR ``(indptr, indices)``.
+
+    ``indices[indptr[i]:indptr[i + 1]]`` are the ascending columns of
+    row ``i`` of :meth:`TransactionDataset.indicator_matrix` -- the
+    sparse form of that matrix, built without the dense
+    ``n x vocabulary`` intermediate.
+    """
+    n = len(dataset)
+    item_index = dataset.item_index
+    lens = [len(txn) for txn in dataset]
+    codes = np.fromiter(
+        (item_index(item) for txn in dataset for item in txn.items),
+        dtype=np.int64, count=sum(lens),
+    )
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    # sort the codes within each row with one global stable argsort of
+    # the combined (row, code) key instead of n tiny per-row sorts
+    rows = np.repeat(np.arange(n, dtype=np.int64), lens)
+    order = np.argsort(rows * max(dataset.n_items, 1) + codes, kind="stable")
+    return indptr, codes[order]
+
+
 def dataset_to_boolean_matrix(
     dataset: CategoricalDataset,
 ) -> tuple[np.ndarray, list[str]]:

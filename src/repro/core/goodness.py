@@ -301,14 +301,10 @@ def merge_kernel_by_name(name: str, f_theta: float, n_max: int = 0):
 
 def intra_cluster_links(cluster: Sequence[int], links: LinkTable) -> int:
     """Total links over unordered point pairs inside one cluster."""
-    members = set(cluster)
-    total = 0
-    for i in cluster:
-        row = links.row(i)
-        for j, count in row.items():
-            if j in members and j > i:
-                total += count
-    return total
+    member = np.zeros(links.n, dtype=bool)
+    member[np.asarray(cluster, dtype=np.int64)] = True
+    lo, hi, counts = links.pair_arrays()
+    return counts[member[lo] & member[hi]].sum().item()
 
 
 def criterion_value(

@@ -22,7 +22,7 @@ link-order ablation bench.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from typing import Any
 
 import numpy as np
@@ -31,107 +31,106 @@ from repro.core.neighbors import NeighborGraph
 
 
 class LinkTable:
-    """Sparse symmetric table of positive link counts.
+    """Sparse symmetric table of positive link counts, as sorted pair arrays.
 
-    Stores, for every point ``i``, a dict of ``j -> link(i, j)`` for the
-    points ``j`` with at least one common neighbor.  Pairs absent from
-    the table have zero links.  Both directions are stored so lookups
-    and row iteration are O(1)/O(row).
+    Each linked pair is stored once, as ``lo[k] < hi[k]`` with count
+    ``counts[k]``, in increasing order of the pair code ``lo * n + hi``
+    -- the form the Figure 4 pair reducers emit and the merge engines
+    consume.  Pairs absent from the table have zero links.
 
-    Counts are integers for the paper's binary links and floats for the
-    similarity-weighted variant (:func:`weighted_link_matrix`); the
-    merge loop consumes either.
+    Counts keep the dtype they were built with: int64 for the paper's
+    binary links, float64 for the similarity-weighted variant
+    (:func:`weighted_link_matrix`); the merge loop consumes either.
+
+    ``pairs`` maps ``(i, j)`` to a count, each unordered pair once in
+    either orientation; it is how small tables (the Figure 4 oracle,
+    hand-written fixtures) are built.
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(
+        self, n: int, pairs: Mapping[tuple[int, int], float] | None = None
+    ) -> None:
         self.n = n
-        self._rows: list[dict[int, float]] = [dict() for _ in range(n)]
-
-    def increment(self, i: int, j: int, amount: float = 1) -> None:
-        if i == j:
+        if not pairs:
+            self.lo = np.empty(0, dtype=np.int64)
+            self.hi = np.empty(0, dtype=np.int64)
+            self.counts = np.empty(0, dtype=np.int64)
+            return
+        ends = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+        lo = ends.min(axis=1)
+        hi = ends.max(axis=1)
+        if np.any(lo == hi):
             raise ValueError("links are defined between distinct points")
-        self._rows[i][j] = self._rows[i].get(j, 0) + amount
-        self._rows[j][i] = self._rows[j].get(i, 0) + amount
+        if lo.min() < 0 or hi.max() >= n:
+            raise ValueError("pair indices out of range")
+        codes = lo * n + hi
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        if np.any(codes[1:] == codes[:-1]):
+            raise ValueError("each unordered pair may appear only once")
+        self.lo = lo[order]
+        self.hi = hi[order]
+        self.counts = np.asarray(list(pairs.values()))[order]
 
     def get(self, i: int, j: int) -> float:
         if i == j:
             raise ValueError("links are defined between distinct points")
-        return self._rows[i].get(j, 0)
-
-    def row(self, i: int) -> dict[int, float]:
-        """Positive-link partners of point ``i`` (do not mutate)."""
-        return self._rows[i]
+        a, b = min(i, j), max(i, j)
+        if a < 0 or b >= self.n:
+            raise IndexError(f"point index outside [0, {self.n})")
+        start, stop = np.searchsorted(self.lo, [a, a + 1])
+        pos = start + int(np.searchsorted(self.hi[start:stop], b))
+        if pos < stop and self.hi[pos] == b:
+            return self.counts[pos].item()
+        return 0
 
     def pairs(self) -> Iterator[tuple[int, int, float]]:
         """Yield each linked pair once as ``(i, j, count)`` with ``i < j``."""
-        for i, row in enumerate(self._rows):
-            for j, count in row.items():
-                if i < j:
-                    yield i, j, count
+        return zip(self.lo.tolist(), self.hi.tolist(), self.counts.tolist())
 
     def nnz_pairs(self) -> int:
         """Number of unordered pairs with a positive link count."""
-        return sum(len(row) for row in self._rows) // 2
+        return int(self.lo.size)
 
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every linked pair as ``(i, j, counts)`` arrays with ``i < j``.
-
-        Pairs appear in the same order :meth:`pairs` yields them (row
-        by row); one O(pairs) pass, no ``n x n`` intermediate.  The
-        vectorized entry point for the fast merge engine.
-        """
-        total = self.nnz_pairs()
-        i_arr = np.empty(total, dtype=np.int64)
-        j_arr = np.empty(total, dtype=np.int64)
-        counts = np.empty(total, dtype=np.float64)
-        pos = 0
-        for i, row in enumerate(self._rows):
-            for j, count in row.items():
-                if i < j:
-                    i_arr[pos] = i
-                    j_arr[pos] = j
-                    counts[pos] = count
-                    pos += 1
-        return i_arr, j_arr, counts
+        """The stored ``(lo, hi, counts)`` arrays (do not mutate)."""
+        return self.lo, self.hi, self.counts
 
     def to_dense(self) -> np.ndarray:
-        integral = all(
-            float(count).is_integer() for _, _, count in self.pairs()
-        )
-        dtype = np.int64 if integral else np.float64
-        dense = np.zeros((self.n, self.n), dtype=dtype)
-        for i, j, count in self.pairs():
-            dense[i, j] = dense[j, i] = count
+        dense = np.zeros((self.n, self.n), dtype=self.counts.dtype)
+        dense[self.lo, self.hi] = self.counts
+        dense[self.hi, self.lo] = self.counts
         return dense
+
+    @classmethod
+    def _wrap(
+        cls, n: int, lo: np.ndarray, hi: np.ndarray, counts: np.ndarray
+    ) -> "LinkTable":
+        table = cls(n)
+        table.lo, table.hi, table.counts = lo, hi, counts
+        return table
 
     @classmethod
     def from_pair_counts(
         cls, n: int, codes: np.ndarray, counts: np.ndarray
     ) -> "LinkTable":
-        """Build a table from packed pair codes ``i * n + j`` (``i < j``).
+        """Wrap packed pair codes ``i * n + j`` (``i < j``, strictly increasing).
 
-        The inverse of :func:`repro.parallel.links.pair_link_counts` /
-        ``merge_pair_counts``: one dict store per linked pair instead of
-        one per increment.
+        The form :func:`repro.parallel.links.merge_pair_counts` and the
+        native ``pair_count_reduce`` emit; only the arrays are checked.
         """
         codes = np.asarray(codes, dtype=np.int64)
         counts = np.asarray(counts)
         if codes.shape != counts.shape or codes.ndim != 1:
             raise ValueError("codes and counts must be matching 1-d arrays")
-        if codes.size and (codes.min() < 0 or codes.max() >= n * n):
+        if codes.size and (codes[0] < 0 or codes[-1] >= n * n):
             raise ValueError("pair codes out of range")
-        table = cls(n)
-        rows = table._rows
-        i_indices = codes // n
-        j_indices = codes % n
-        if np.any(i_indices >= j_indices):
+        if np.any(codes[1:] <= codes[:-1]):
+            raise ValueError("pair codes must be strictly increasing")
+        lo, hi = np.divmod(codes, max(n, 1))
+        if np.any(lo >= hi):
             raise ValueError("pair codes must encode i < j")
-        for i, j, count in zip(
-            i_indices.tolist(), j_indices.tolist(), counts.tolist()
-        ):
-            rows[i][j] = count
-            rows[j][i] = count
-        return table
+        return cls._wrap(n, lo, hi, counts)
 
     def subset(self, indices: "np.ndarray | list[int]") -> "LinkTable":
         """Restrict to ``indices``, reindexed to their positions.
@@ -141,19 +140,21 @@ class LinkTable:
         degree-0*: an isolated point appears in no neighbor list, so it
         participates in no pair increment on either side.
         """
-        index_list = [int(i) for i in indices]
-        remap = {old: new for new, old in enumerate(index_list)}
-        if len(remap) != len(index_list):
+        index = np.asarray(indices, dtype=np.int64).reshape(-1)
+        m = index.size
+        if np.unique(index).size != m:
             raise ValueError("subset indices must be unique")
-        table = LinkTable(len(index_list))
-        for new_i, old_i in enumerate(index_list):
-            row: dict[int, float] = {}
-            for old_j, count in self._rows[old_i].items():
-                new_j = remap.get(old_j)
-                if new_j is not None:
-                    row[new_j] = count
-            table._rows[new_i] = row
-        return table
+        if m and (index.min() < 0 or index.max() >= self.n):
+            raise ValueError("subset indices out of range")
+        position = np.full(self.n, -1, dtype=np.int64)
+        position[index] = np.arange(m, dtype=np.int64)
+        a = position[self.lo]
+        b = position[self.hi]
+        keep = (a >= 0) & (b >= 0)
+        a, b = a[keep], b[keep]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        order = np.argsort(lo * m + hi, kind="stable")
+        return self._wrap(m, lo[order], hi[order], self.counts[keep][order])
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray) -> "LinkTable":
@@ -164,15 +165,10 @@ class LinkTable:
             raise ValueError("link matrix must be symmetric")
         if matrix.size and np.diagonal(matrix).any():
             raise ValueError("link matrix must have an empty diagonal")
-        table = cls(matrix.shape[0])
-        for i in range(matrix.shape[0]):
-            row = matrix[i]
-            partners = np.flatnonzero(row)
-            if partners.size:
-                table._rows[i] = dict(
-                    zip(partners.tolist(), row[partners].tolist())
-                )
-        return table
+        lo, hi = np.nonzero(matrix)  # row-major: codes come out sorted
+        upper = lo < hi
+        lo, hi = lo[upper].astype(np.int64), hi[upper].astype(np.int64)
+        return cls._wrap(matrix.shape[0], lo, hi, matrix[lo, hi])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LinkTable(n={self.n}, linked_pairs={self.nnz_pairs()})"
@@ -198,26 +194,18 @@ def sparse_link_table(graph: NeighborGraph) -> LinkTable:
     """The Figure 4 algorithm: every point links each pair of its neighbors.
 
     Cost is ``O(sum_i m_i^2)`` where ``m_i`` is point ``i``'s neighbor
-    count -- the paper's ``O(n * m_m * m_a)`` bound.  The inner pair loop
-    is vectorised per point: the contribution of point ``i`` is +1 to
-    every unordered pair drawn from ``nbrlist[i]``.
+    count -- the paper's ``O(n * m_m * m_a)`` bound.  Point ``i``
+    contributes +1 to every unordered pair drawn from ``nbrlist[i]``
+    (sorted, so each pair is keyed ``(a, b)`` with ``a < b``); the
+    increments accumulate in one dict that becomes the table once.
     """
-    table = LinkTable(graph.n)
-    rows = table._rows
+    counts: dict[tuple[int, int], int] = {}
     for neighbors in graph.neighbor_lists():
-        m = len(neighbors)
-        if m < 2:
-            continue
         nbr = [int(x) for x in neighbors]
-        for a_pos in range(m - 1):
-            a = nbr[a_pos]
-            row_a = rows[a]
-            for b_pos in range(a_pos + 1, m):
-                b = nbr[b_pos]
-                row_a[b] = row_a.get(b, 0) + 1
-                row_b = rows[b]
-                row_b[a] = row_b.get(a, 0) + 1
-    return table
+        for a_pos, a in enumerate(nbr):
+            for b in nbr[a_pos + 1:]:
+                counts[a, b] = counts.get((a, b), 0) + 1
+    return LinkTable(graph.n, counts)
 
 
 def compute_links(

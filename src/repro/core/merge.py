@@ -89,7 +89,6 @@ from repro.core.rock import (
     GoodnessFunction,
     MergeStep,
     RockResult,
-    _aggregate_cross_links,
     _validate_partition,
 )
 
@@ -322,56 +321,28 @@ def _cross_pair_arrays(
     The vectorized counterpart of
     :func:`repro.core.rock._aggregate_cross_links`.  With the default
     singleton start the link table's pair arrays *are* the answer.
-    With an ``initial_clusters`` partition, integer counts are summed
-    per cluster pair with one stable sort + ``np.add.reduceat`` (exact:
-    integer addition is associative); float (similarity-weighted)
-    counts fall back to the reference dict aggregation so the float
-    additions happen in the reference's exact order.
+    With an ``initial_clusters`` partition, counts are summed per
+    cluster pair by ``np.add.at``, which adds in array order -- the
+    reference's :meth:`LinkTable.pairs` order -- so even float
+    (similarity-weighted) sums match it bit for bit.
     """
     if singletons:
         return links.pair_arrays()
-    n = links.n
     m = len(cluster_list)
     i_arr, j_arr, counts = links.pair_arrays()
-    cluster_of = np.full(n, -1, dtype=np.int64)
+    cluster_of = np.full(links.n, -1, dtype=np.int64)
     for cid, cluster in enumerate(cluster_list):
         cluster_of[cluster] = cid
     ci = cluster_of[i_arr]
     cj = cluster_of[j_arr]
     keep = (ci >= 0) & (cj >= 0) & (ci != cj)
-    ci, cj, counts = ci[keep], cj[keep], counts[keep]
-    lo = np.minimum(ci, cj)
-    hi = np.maximum(ci, cj)
-    if lo.size == 0:
-        return lo, hi, counts
-    if bool(np.all(counts == np.floor(counts))):
-        codes = lo * m + hi
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
-        sorted_counts = counts[order].astype(np.int64)
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        summed = np.add.reduceat(sorted_counts, starts)
-        unique_codes = codes[starts]
-        return (
-            unique_codes // m,
-            unique_codes % m,
-            summed.astype(np.float64),
-        )
-    cross = _aggregate_cross_links(links, cluster_list)
-    out_lo: list[int] = []
-    out_hi: list[int] = []
-    out_counts: list[float] = []
-    for a in range(m):
-        for b in sorted(cross[a]):
-            if a < b:
-                out_lo.append(a)
-                out_hi.append(b)
-                out_counts.append(cross[a][b])
-    return (
-        np.asarray(out_lo, dtype=np.int64),
-        np.asarray(out_hi, dtype=np.int64),
-        np.asarray(out_counts, dtype=np.float64),
+    ci, cj = ci[keep], cj[keep]
+    codes, slot = np.unique(
+        np.minimum(ci, cj) * m + np.maximum(ci, cj), return_inverse=True
     )
+    summed = np.zeros(codes.size, dtype=counts.dtype)
+    np.add.at(summed, slot, counts[keep])
+    return codes // m, codes % m, summed
 
 
 def partition_components(
@@ -423,7 +394,7 @@ def partition_components(
     pair_comp_ids = sorted_pair_comp[pair_starts]
     lo_local = local_of[lo][pair_order]
     hi_local = local_of[hi][pair_order]
-    counts_sorted = counts[pair_order]
+    counts_sorted = np.asarray(counts, dtype=np.float64)[pair_order]
 
     pair_slice = {
         int(comp): (int(start), int(end))

@@ -552,17 +552,22 @@ class SparseTransactionScorer(BlockScorer):
     """
 
     def __init__(self, dataset: TransactionDataset, overlap: bool) -> None:
+        from repro.core.encoding import transaction_csr
+
+        self._load_csr(*transaction_csr(dataset), dataset.n_items, overlap)
+
+    def _load_csr(
+        self, indptr: np.ndarray, indices: np.ndarray, n_items: int, overlap: bool
+    ) -> None:
+        """Set up the int64 CSR, its transpose and the row sizes."""
         from scipy import sparse
 
-        self.n = len(dataset)
-        matrix = sparse.csr_matrix(
-            dataset.indicator_matrix().astype(np.int64)
-        )
+        self.n = len(indptr) - 1
+        data = np.ones(len(indices), dtype=np.int64)
+        matrix = sparse.csr_matrix((data, indices, indptr), shape=(self.n, n_items))
         self._s = matrix
         self._st = matrix.T.tocsr()
-        self._sizes = np.asarray(
-            matrix.sum(axis=1), dtype=np.int64
-        ).ravel()
+        self._sizes = np.diff(indptr).astype(np.int64)
         self._min_size = int(self._sizes.min()) if self.n else 0
         self._overlap = overlap
 

@@ -62,6 +62,7 @@ def naive_cluster_with_links(
     next_id = len(members)
     # order[cid] approximates heap insertion order: creation order
     creation = {cid: cid for cid in members}
+    linked = list(links.pairs())
 
     merges: list[MergeStep] = []
     stopped_early = False
@@ -72,7 +73,7 @@ def naive_cluster_with_links(
             for v, mv in members.items():
                 if u == v:
                     continue
-                cross = _cross_links(links, mu_set, mv)
+                cross = _cross_links(linked, mu_set, set(mv))
                 if cross == 0:
                     continue
                 g = goodness_fn(cross, len(mu), len(mv), f_theta)
@@ -97,10 +98,11 @@ def naive_cluster_with_links(
     )
 
 
-def _cross_links(links: LinkTable, cluster_a: set[int], cluster_b: list[int]) -> int:
+def _cross_links(
+    linked: list[tuple[int, int, float]], cluster_a: set[int], cluster_b: set[int]
+) -> float:
     total = 0
-    for p in cluster_b:
-        for q, count in links.row(p).items():
-            if q in cluster_a:
-                total += count
+    for p, q, count in linked:
+        if (p in cluster_a and q in cluster_b) or (p in cluster_b and q in cluster_a):
+            total += count
     return total

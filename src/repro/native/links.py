@@ -31,6 +31,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.encoding import transaction_csr
 from repro.core.links import LinkTable
 from repro.core.neighbors import block_tasks, worker_block_size
 from repro.core.similarity import (
@@ -121,25 +122,9 @@ def native_transaction_csr(
     if n >= 2**31 or dataset.n_items >= 2**31:
         return None
     n_items = dataset.n_items
-    item_index = dataset.item_index
-    flat: list[int] = []
-    lens: list[int] = []
-    for txn in dataset:
-        items = txn.items
-        lens.append(len(items))
-        flat.extend(item_index(item) for item in items)
-    sizes = np.asarray(lens, dtype=np.int32)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(sizes, dtype=np.int64)
-    # sort item codes within each row with one global stable argsort of
-    # the combined (row, code) key instead of n tiny per-row sorts
-    codes = np.asarray(flat, dtype=np.int64)
-    if codes.size:
-        row_ids64 = np.repeat(np.arange(n, dtype=np.int64), sizes)
-        order = np.argsort(row_ids64 * n_items + codes, kind="stable")
-        indices = codes[order].astype(np.int32)
-    else:
-        indices = np.empty(0, dtype=np.int32)
+    indptr, codes = transaction_csr(dataset)
+    sizes = np.diff(indptr).astype(np.int32)
+    indices = codes.astype(np.int32)
     # transpose: stable sort of (item, transaction) pairs by item --
     # stability keeps each item's transaction list ascending because
     # the rows were emitted in transaction order

@@ -196,6 +196,10 @@ class RockHttpServer:
         self._inflight_batch_points = 0
         self._server: asyncio.Server | None = None
         self._closing = False
+        # connection handler tasks, and the connections waiting for a
+        # next request
+        self._handlers: set[asyncio.Task[None]] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -222,12 +226,20 @@ class RockHttpServer:
         )
 
     async def shutdown(self) -> None:
-        """Graceful stop: close the listener, drain, stop the watcher."""
+        """Graceful stop: close the listener, drain, stop the watcher.
+
+        Idle keep-alive connections are closed and every connection
+        handler is awaited here, while the loop still runs: a handler
+        left pending would otherwise be finalised after the loop closed.
+        """
         if self._closing:
             return
         self._closing = True
         if self._server is not None:
             self._server.close()
+            for writer in self._idle:
+                writer.close()  # the handler reads EOF and returns
+            await asyncio.gather(*self._handlers, return_exceptions=True)
             await self._server.wait_closed()
         await self.batcher.aclose()
         self.watcher.stop()
@@ -250,18 +262,24 @@ class RockHttpServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._handlers.add(task)
         try:
-            while True:
+            while not self._closing:
+                self._idle.add(writer)
                 try:
                     request = await read_request(reader)
                 except ProtocolError as exc:
                     writer.write(self._error_bytes(exc.status, str(exc), False))
                     await writer.drain()
                     break
+                finally:
+                    self._idle.discard(writer)
                 if request is None:
                     break
-                keep_alive = request.keep_alive and not self._closing
                 payload = await self._dispatch(request)
+                keep_alive = request.keep_alive and not self._closing
                 payload = render_response(
                     payload[0], payload[1], payload[2], payload[3], keep_alive
                 )
@@ -272,6 +290,7 @@ class RockHttpServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            self._handlers.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()

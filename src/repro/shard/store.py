@@ -364,20 +364,10 @@ class StoreScorer(SparseTransactionScorer):
     def __init__(
         self, store: TransactionStore | str | os.PathLike[str], overlap: bool = False
     ) -> None:
-        from scipy import sparse
-
         if not isinstance(store, TransactionStore):
             store = TransactionStore.open(store)
         self.store = store
-        self.n = len(store)
-        indptr = np.asarray(store.indptr)
-        indices = np.asarray(store.items)
-        data = np.ones(indices.shape[0], dtype=np.int64)
-        matrix = sparse.csr_matrix(
-            (data, indices, indptr), shape=(self.n, max(store.n_items, 1))
+        self._load_csr(
+            np.asarray(store.indptr), np.asarray(store.items),
+            max(store.n_items, 1), overlap,
         )
-        self._s = matrix
-        self._st = matrix.T.tocsr()
-        self._sizes = store.sizes()
-        self._min_size = int(self._sizes.min()) if self.n else 0
-        self._overlap = overlap

@@ -38,7 +38,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.assign import AssignmentIndex, resolve_assign_backend
-from repro.core.labeling import ClusterLabeler
+from repro.core.labeling import ClusterLabeler, compute_normalisers
 from repro.core.pipeline import PipelineResult, RockPipeline
 from repro.obs.trace import Tracer
 from repro.serve.model import CHECKSUM_KEY, RockModel, artifact_checksum
@@ -305,11 +305,13 @@ class StreamClusterer:
             )
         labeler = self._labeler
         assert labeler is not None
+        normalisers = compute_normalisers(labeler.labeling_sets, labeler.f_theta)
         labels = np.full(len(batch), -1, dtype=np.int64)
         best = np.zeros(len(batch), dtype=np.float64)
         for i, point in enumerate(batch):
-            scores = labeler.scores(point)
-            if labeler.neighbor_counts(point).any():
+            counts = labeler.neighbor_counts(point)
+            if counts.any():
+                scores = counts / normalisers
                 labels[i] = int(np.argmax(scores))
                 best[i] = float(scores[labels[i]])
         return labels, best

@@ -8,10 +8,11 @@ from repro.core.rock import MergeStep, cluster_with_links
 
 
 def links_from_pairs(n, pairs):
-    table = LinkTable(n)
+    counts = {}
     for i, j, count in pairs:
-        table.increment(i, j, count)
-    return table
+        key = (min(i, j), max(i, j))
+        counts[key] = counts.get(key, 0) + count
+    return LinkTable(n, counts)
 
 
 @pytest.fixture

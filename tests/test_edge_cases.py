@@ -99,10 +99,9 @@ class TestLinkTableEdges:
         assert result.stopped_early
 
     def test_saturated_links(self):
-        table = LinkTable(4)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                table.increment(i, j, 100)
+        table = LinkTable(
+            4, {(i, j): 100 for i in range(4) for j in range(i + 1, 4)}
+        )
         result = cluster_with_links(table, k=1, f_theta=0.5)
         assert result.clusters == [[0, 1, 2, 3]]
         assert not result.stopped_early
@@ -146,9 +145,7 @@ class TestSampleBoundaries:
 
 class TestNumericalExtremes:
     def test_huge_link_counts_do_not_overflow(self):
-        table = LinkTable(3)
-        table.increment(0, 1, 10**12)
-        table.increment(1, 2, 10**12)
+        table = LinkTable(3, {(0, 1): 10**12, (1, 2): 10**12})
         result = cluster_with_links(table, k=1, f_theta=1.0)
         assert result.clusters == [[0, 1, 2]]
 

@@ -43,32 +43,39 @@ def random_graph_strategy(max_n=12):
 
 
 class TestLinkTable:
-    def test_increment_and_get_symmetric(self):
-        table = LinkTable(3)
-        table.increment(0, 2)
-        table.increment(2, 0, amount=4)
+    def test_pairs_constructor_and_get_symmetric(self):
+        table = LinkTable(3, {(2, 0): 5})
         assert table.get(0, 2) == 5
         assert table.get(2, 0) == 5
         assert table.get(0, 1) == 0
+        assert table.lo.tolist() == [0] and table.hi.tolist() == [2]
 
     def test_self_link_rejected(self):
-        table = LinkTable(2)
         with pytest.raises(ValueError):
-            table.increment(1, 1)
+            LinkTable(2, {(1, 1): 1})
         with pytest.raises(ValueError):
-            table.get(0, 0)
+            LinkTable(2).get(0, 0)
+        with pytest.raises(IndexError):
+            LinkTable(2).get(0, 2)
+
+    def test_duplicate_and_out_of_range_pairs_rejected(self):
+        with pytest.raises(ValueError, match="once"):
+            LinkTable(3, {(0, 2): 1, (2, 0): 4})
+        with pytest.raises(ValueError, match="range"):
+            LinkTable(3, {(0, 3): 1})
 
     def test_pairs_each_once(self):
-        table = LinkTable(3)
-        table.increment(0, 1, 2)
-        table.increment(1, 2, 3)
-        assert sorted(table.pairs()) == [(0, 1, 2), (1, 2, 3)]
+        table = LinkTable(3, {(1, 2): 3, (0, 1): 2})
+        assert list(table.pairs()) == [(0, 1, 2), (1, 2, 3)]
         assert table.nnz_pairs() == 2
 
+    def test_counts_keep_their_dtype(self):
+        assert LinkTable(3, {(0, 1): 2}).counts.dtype == np.int64
+        assert LinkTable(3, {(0, 1): 2.5}).counts.dtype == np.float64
+        assert LinkTable(3).pair_arrays()[2].dtype == np.int64
+
     def test_dense_round_trip(self):
-        table = LinkTable(4)
-        table.increment(0, 3, 7)
-        table.increment(1, 2, 1)
+        table = LinkTable(4, {(0, 3): 7, (1, 2): 1})
         dense = table.to_dense()
         back = LinkTable.from_dense(dense)
         assert sorted(back.pairs()) == sorted(table.pairs())
@@ -172,8 +179,9 @@ class TestSparseDenseEquivalence:
         table = sparse_link_table(graph)
         degrees = graph.degrees()
         mm = int(degrees.max()) if graph.n else 0
+        lo, hi, _ = table.pair_arrays()
         for i in range(graph.n):
-            partners = len(table.row(i))
+            partners = int(np.count_nonzero(lo == i) + np.count_nonzero(hi == i))
             assert partners <= min(graph.n, mm * int(degrees[i])), i
         assert table.nnz_pairs() <= min(
             graph.n * graph.n, mm * int(degrees.sum())

@@ -47,13 +47,6 @@ from repro.obs.registry import MetricsRegistry
 F_THETAS = [0.0, default_f(0.5)]
 
 
-def make_links(n: int, edges: dict[tuple[int, int], float]) -> LinkTable:
-    links = LinkTable(n)
-    for (i, j), count in edges.items():
-        links.increment(i, j, count)
-    return links
-
-
 def assert_identical(ref, fast) -> None:
     """Byte-for-byte RockResult equality, goodness floats included."""
     assert ref.clusters == fast.clusters
@@ -104,7 +97,7 @@ class TestMergeHistoryEquivalence:
     def test_normalized_goodness(self, problem):
         n, edges, k, initial = problem
         for f_theta in F_THETAS:
-            links = make_links(n, edges)
+            links = LinkTable(n, edges)
             ref = cluster_with_links(
                 links, k=k, f_theta=f_theta, initial_clusters=initial,
                 merge_method="heap",
@@ -119,7 +112,7 @@ class TestMergeHistoryEquivalence:
     @given(link_problems())
     def test_naive_goodness(self, problem):
         n, edges, k, initial = problem
-        links = make_links(n, edges)
+        links = LinkTable(n, edges)
         ref = cluster_with_links(
             links, k=k, f_theta=default_f(0.5), initial_clusters=initial,
             goodness_fn=naive_goodness, merge_method="heap",
@@ -133,7 +126,7 @@ class TestMergeHistoryEquivalence:
     def test_stopped_early_disconnected(self):
         """Mushroom-style early stop: k below the component count."""
         edges = {(0, 1): 3.0, (1, 2): 2.0, (3, 4): 4.0, (5, 6): 1.0}
-        links = make_links(8, edges)  # point 7 fully isolated
+        links = LinkTable(8, edges)  # point 7 fully isolated
         ref = cluster_with_links(
             links, k=1, f_theta=default_f(0.5), merge_method="heap"
         )
@@ -146,10 +139,11 @@ class TestMergeHistoryEquivalence:
     def test_initial_clusters_resume(self):
         """Resuming from a partial partition replays identically."""
         rng = random.Random(7)
-        links = LinkTable(20)
+        edges: dict[tuple[int, int], int] = {}
         for _ in range(60):
-            i, j = rng.sample(range(20), 2)
-            links.increment(i, j, rng.randint(1, 4))
+            i, j = sorted(rng.sample(range(20), 2))
+            edges[i, j] = edges.get((i, j), 0) + rng.randint(1, 4)
+        links = LinkTable(20, edges)
         initial = [[0, 5, 7], [1, 2], [3], [4, 6, 8, 9], [10, 11],
                    [12, 13, 14], [15], [16, 17], [18, 19]]
         for f_theta in F_THETAS:
@@ -187,7 +181,7 @@ class TestMergeMethodDispatch:
 
     def test_forced_fast_with_custom_callable(self):
         """A symmetric custom goodness works when fast is forced."""
-        links = make_links(6, {(0, 1): 2.0, (1, 2): 1.0, (3, 4): 3.0})
+        links = LinkTable(6, {(0, 1): 2.0, (1, 2): 1.0, (3, 4): 3.0})
 
         def halved(count, ni, nj, f_theta):
             return count / (ni + nj)
@@ -251,13 +245,13 @@ class TestKernelsBitwise:
 class TestParallelDeterminism:
     def _problem_set(self):
         rng = random.Random(11)
-        links = LinkTable(90)
         # 15 components of 6 points each, fully linked inside
-        for base in range(0, 90, 6):
-            for i in range(base, base + 6):
-                for j in range(i + 1, base + 6):
-                    links.increment(i, j, rng.randint(1, 5))
-        return links
+        return LinkTable(90, {
+            (i, j): rng.randint(1, 5)
+            for base in range(0, 90, 6)
+            for i in range(base, base + 6)
+            for j in range(i + 1, base + 6)
+        })
 
     def test_worker_count_invariance(self):
         from repro.parallel.merge import parallel_component_streams
@@ -300,7 +294,7 @@ class TestParallelDeterminism:
 
 class TestRegistryCounters:
     def test_component_and_heap_counters(self):
-        links = make_links(
+        links = LinkTable(
             10, {(0, 1): 2.0, (1, 2): 1.0, (3, 4): 3.0, (5, 6): 1.0, (6, 7): 2.0}
         )
         registry = MetricsRegistry()

@@ -209,13 +209,6 @@ def link_problems(draw):
     return n, edges, k, initial
 
 
-def make_links(n: int, edges: dict) -> LinkTable:
-    links = LinkTable(n)
-    for (i, j), count in edges.items():
-        links.increment(i, j, count)
-    return links
-
-
 class TestNativeMergeEngine:
     @settings(max_examples=60, deadline=None)
     @given(problem=link_problems(), naive=st.booleans())
@@ -226,7 +219,7 @@ class TestNativeMergeEngine:
             k=k, f_theta=default_f(0.5), initial_clusters=initial,
             goodness_fn=goodness_fn,
         )
-        links = make_links(n, edges)
+        links = LinkTable(n, edges)
         ref = cluster_with_links(links, merge_method="heap", **kwargs)
         fast = cluster_with_links(links, merge_method="fast", **kwargs)
         assert_identical(ref, fast)
@@ -241,11 +234,12 @@ class TestNativeMergeEngine:
     def test_streams_and_heap_ops_identical(self, backend):
         """The native streams match the Python ones field for field."""
         rng = random.Random(11)
-        links = LinkTable(90)
-        for base in range(0, 90, 6):
-            for i in range(base, base + 6):
-                for j in range(i + 1, base + 6):
-                    links.increment(i, j, rng.randint(1, 5))
+        links = LinkTable(90, {
+            (i, j): rng.randint(1, 5)
+            for base in range(0, 90, 6)
+            for i in range(base, base + 6)
+            for j in range(i + 1, base + 6)
+        })
         sizes = np.ones(90, dtype=np.int64)
         lo, hi, counts = links.pair_arrays()
         problems = partition_components(90, sizes, lo, hi, counts)
@@ -271,7 +265,7 @@ class TestNativeMergeEngine:
     @pytest.mark.parametrize("backend", AVAILABLE)
     def test_stopped_early_disconnected(self, backend):
         edges = {(0, 1): 3.0, (1, 2): 2.0, (3, 4): 4.0, (5, 6): 1.0}
-        links = make_links(8, edges)  # point 7 fully isolated
+        links = LinkTable(8, edges)  # point 7 fully isolated
         ref = cluster_with_links(
             links, k=1, f_theta=default_f(0.5), merge_method="heap"
         )

@@ -421,3 +421,27 @@ def test_cli_fit_mode_and_workers(tmp_path, capsys):
             "cluster", "--input", str(data), "--format", "transactions",
             "-k", "3", "--theta", "0.4", "--workers", "nope",
         ])
+
+
+def test_fused_tier_never_builds_the_dense_indicator_matrix(monkeypatch):
+    """Without a native backend the fused pass encodes transactions
+    straight to CSR: the n x vocabulary indicator matrix never exists,
+    and the fit still equals the dense path."""
+    import repro.native as native
+
+    dataset = make_baskets(120, vocab=60, seed=4)
+    dense = rock(dataset, k=3, theta=0.3, fit_mode="dense")
+
+    def refuse(self):
+        raise AssertionError("the fused tier built the dense indicator matrix")
+
+    monkeypatch.setenv("REPRO_NATIVE", "0")
+    monkeypatch.setattr(TransactionDataset, "indicator_matrix", refuse)
+    native._reset_for_tests()
+    try:
+        fused = rock(dataset, k=3, theta=0.3, fit_mode="fused")
+    finally:
+        native._reset_for_tests()
+    assert fused.clusters == dense.clusters
+    assert fused.merges == dense.merges
+    assert fused.stopped_early == dense.stopped_early

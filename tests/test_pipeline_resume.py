@@ -81,20 +81,13 @@ def resume_problems(draw):
     return n, edges, k_final, k_pause
 
 
-def make_links(n, edges):
-    links = LinkTable(n)
-    for (i, j), count in edges.items():
-        links.increment(i, j, count)
-    return links
-
-
 class TestClusterWithLinksResume:
     @given(problem=resume_problems())
     @settings(max_examples=60, deadline=None)
     def test_pause_resume_byte_identical_to_one_shot(self, problem):
         n, edges, k_final, k_pause = problem
         for merge_method in ("heap", "fast"):
-            links = make_links(n, edges)
+            links = LinkTable(n, edges)
             direct = cluster_with_links(
                 links, k=k_final, f_theta=F_THETA, merge_method=merge_method
             )

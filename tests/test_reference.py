@@ -17,11 +17,12 @@ from repro.core.rock import cluster_with_links
 
 
 def table_from_pairs(n, pairs):
-    table = LinkTable(n)
+    counts = {}
     for i, j, count in pairs:
         if i != j:
-            table.increment(i, j, count)
-    return table
+            key = (min(i, j), max(i, j))
+            counts[key] = counts.get(key, 0) + count
+    return LinkTable(n, counts)
 
 
 @st.composite

@@ -33,9 +33,7 @@ from repro.data.transactions import Transaction, TransactionDataset
 
 @pytest.fixture
 def rock_result():
-    table = LinkTable(5)
-    for i, j, c in [(0, 1, 4), (1, 2, 3), (3, 4, 5)]:
-        table.increment(i, j, c)
+    table = LinkTable(5, {(0, 1): 4, (1, 2): 3, (3, 4): 5})
     return cluster_with_links(table, k=2, f_theta=1 / 3)
 
 

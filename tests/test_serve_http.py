@@ -591,3 +591,34 @@ class TestBatchingAndMetrics:
             s for s in handle.server.tracer.spans() if s.name == "serve.http"
         )
         assert root.wall_seconds > 0
+
+    def test_shutdown_closes_idle_keep_alive_connections(
+        self, fitted_model, tmp_path, monkeypatch
+    ):
+        """An idle keep-alive client must not outlive the event loop:
+        its connection handler is closed and awaited inside shutdown,
+        so nothing runs against a closed loop later."""
+        import gc
+        import sys
+
+        _, model = fitted_model
+        path = tmp_path / "model.json"
+        model.save(path)
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        handle = serve_in_thread(path, poll_seconds=5.0)
+        conn = http.client.HTTPConnection(*handle.address, timeout=30)
+        try:
+            response, _ = request_json(
+                handle.address, "GET", "/healthz", conn=conn
+            )
+            assert response.status == 200
+            assert not response.will_close  # the client now sits idle
+            started = time.monotonic()
+            handle.stop()
+            assert time.monotonic() - started < 10
+            del handle
+            gc.collect()
+        finally:
+            conn.close()
+        assert unraisable == []

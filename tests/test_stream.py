@@ -258,6 +258,39 @@ class TestStreamClusterer:
         assert clusterer.reservoir.seen == 230
         assert second.labeled == 80
 
+    def test_scalar_path_scores_each_representative_once(self):
+        """A non-Jaccard model labels through the scalar labeler: one
+        similarity call per representative per labeled point."""
+        from repro.core.similarity import OverlapSimilarity
+
+        class CountingOverlap(OverlapSimilarity):
+            calls = 0
+
+            def __call__(self, a, b):
+                self.calls += 1
+                return super().__call__(a, b)
+
+        similarity = CountingOverlap()
+        clusterer = StreamClusterer(
+            make_pipeline(similarity=similarity), reservoir_size=60,
+            warmup=100, batch_size=50, seed=5,
+        )
+        clusterer.process(make_transactions(A_VOCAB, 100, seed=2))
+        assert clusterer._fast_index is None  # the scalar path runs
+        reps = sum(len(li) for li in clusterer.model.labeling_sets)
+        assert reps > 0
+        per_batch = []
+
+        def on_batch(points, labels, scores, version):
+            per_batch.append((similarity.calls, len(points)))
+            similarity.calls = 0
+
+        clusterer.on_batch = on_batch
+        similarity.calls = 0
+        clusterer.process(make_transactions(A_VOCAB, 120, seed=3))
+        assert [points for _, points in per_batch] == [50, 50, 20]
+        assert all(calls == reps * points for calls, points in per_batch)
+
     def test_metrics_and_spans_recorded(self):
         tracer = Tracer()
         clusterer = StreamClusterer(
